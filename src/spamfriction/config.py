@@ -1,18 +1,20 @@
 """Application configuration: YAML in, validated dataclasses out.
 
-The file is organised into sections (server, policy, scorer, legacy,
-client).  Unknown sections or keys are rejected outright; silently
-ignoring a typo like ``resist_treshold`` would change mail handling
-without anyone noticing.  ``dump_effective`` renders the fully merged
-configuration (defaults included) back to YAML.
+Each section (server, policy, scorer, legacy, client) is one dataclass field
+of :class:`AppConfig`, and each key one field of that dataclass: parsing, the
+unknown-key check and ``dump_effective`` (the merged configuration, defaults
+included, back as YAML) all walk the fields.  Unknown keys are rejected
+outright; silently ignoring a typo like ``resist_treshold`` would change mail
+handling without anyone noticing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_type_hints
 
 import yaml
 
-from .policy import PolicyConfig, SinBinConfig
+from .policy import PolicyConfig
 from .scoring import ScorerConfig
 from .smtp import ClientConfig, LegacyPolicy, ServerConfig
 
@@ -76,138 +78,82 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {names}")
 
 
-def _build_server(data: dict) -> tuple[ServerConfig, dict]:
-    keys = (
-        "listen", "sink_dir", "store_capacity", "hostname", "max_message_bytes",
-        "advertise_auth", "advertise_starttls", "pow_algorithms", "puzzle_ttl",
+def _scalar(convert):
+    return lambda value, where: convert(value), lambda value: value
+
+
+def _optional(codec):
+    decode, encode = codec
+    return (
+        lambda value, where: None if value is None else decode(value, where),
+        lambda value: None if value is None else encode(value),
     )
-    _check_keys(data, keys, "server")
-    extras = {}
-    if "listen" in data:
-        extras["listen"] = parse_endpoint(str(data["listen"]))
-    if "sink_dir" in data:
-        extras["sink_dir"] = str(data["sink_dir"])
-    if "store_capacity" in data:
-        extras["store_capacity"] = int(data["store_capacity"])
-        if extras["store_capacity"] < 1:
-            raise ConfigError("server.store_capacity must be at least 1")
-    kwargs = {}
-    if "hostname" in data:
-        kwargs["hostname"] = str(data["hostname"])
-    if "max_message_bytes" in data:
-        kwargs["max_message_bytes"] = int(data["max_message_bytes"])
-    if "advertise_auth" in data:
-        kwargs["advertise_auth"] = bool(data["advertise_auth"])
-    if "advertise_starttls" in data:
-        kwargs["advertise_starttls"] = bool(data["advertise_starttls"])
-    if "pow_algorithms" in data:
-        algs = data["pow_algorithms"]
-        if not isinstance(algs, list):
-            raise ConfigError("server.pow_algorithms must be a list of integers")
-        kwargs["pow_algorithms"] = tuple(int(a) for a in algs)
-    if "puzzle_ttl" in data:
-        kwargs["puzzle_ttl"] = float(data["puzzle_ttl"])
-    return ServerConfig(**kwargs), extras
 
 
-def _build_policy(data: dict) -> PolicyConfig:
-    keys = (
-        "resist_threshold", "mode", "base_difficulty", "graduated_buckets",
-        "jitter_bits", "whitelist", "sinbin",
-    )
-    _check_keys(data, keys, "policy")
-    kwargs = {}
-    for name in ("resist_threshold",):
-        if name in data:
-            kwargs[name] = float(data[name])
-    if "mode" in data:
-        kwargs["mode"] = str(data["mode"])
-    for name in ("base_difficulty", "jitter_bits"):
-        if name in data:
-            kwargs[name] = int(data[name])
-    if "graduated_buckets" in data:
-        buckets = data["graduated_buckets"]
-        if not isinstance(buckets, list):
-            raise ConfigError("policy.graduated_buckets must be a list of [bound, difficulty] pairs")
-        parsed = []
-        for entry in buckets:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise ConfigError("policy.graduated_buckets entries must be [bound, difficulty] pairs")
-            parsed.append((float(entry[0]), int(entry[1])))
-        kwargs["graduated_buckets"] = parsed
-    if "whitelist" in data:
-        entries = data["whitelist"]
-        if not isinstance(entries, list):
-            raise ConfigError("policy.whitelist must be a list of patterns")
-        kwargs["whitelist"] = frozenset(str(e) for e in entries)
-    if "sinbin" in data:
-        sb = _require_mapping(data["sinbin"], "policy.sinbin")
-        _check_keys(sb, ("max_refusals", "window", "block_duration"), "policy.sinbin")
-        sb_kwargs = {}
-        if "max_refusals" in sb:
-            sb_kwargs["max_refusals"] = int(sb["max_refusals"])
-        if "window" in sb:
-            sb_kwargs["window"] = float(sb["window"])
-        if "block_duration" in sb:
-            sb_kwargs["block_duration"] = float(sb["block_duration"])
-        kwargs["sinbin"] = SinBinConfig(**sb_kwargs)
-    return PolicyConfig(**kwargs)
+def _require_list(value, where: str, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of {what}")
+    return value
 
 
-def _build_scorer(data: dict) -> ScorerConfig:
-    keys = ("mode", "token_weights", "endpoint", "timeout", "fallback", "max_body_bytes")
-    _check_keys(data, keys, "scorer")
-    kwargs = {}
-    if "mode" in data:
-        kwargs["mode"] = str(data["mode"])
-    if "token_weights" in data:
-        weights = _require_mapping(data["token_weights"], "scorer.token_weights")
-        kwargs["token_weights"] = {str(k): float(v) for k, v in weights.items()}
-    if "endpoint" in data and data["endpoint"] is not None:
-        kwargs["endpoint"] = parse_endpoint(str(data["endpoint"]))
-    if "timeout" in data:
-        kwargs["timeout"] = float(data["timeout"])
-    if "fallback" in data:
-        kwargs["fallback"] = float(data["fallback"])
-    if "max_body_bytes" in data:
-        kwargs["max_body_bytes"] = int(data["max_body_bytes"])
-    return ScorerConfig(**kwargs)
+def _decode_buckets(value, where: str) -> list[tuple[float, int]]:
+    pairs = []
+    for entry in _require_list(value, where, "[bound, difficulty] pairs"):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ConfigError(f"{where} entries must be [bound, difficulty] pairs")
+        pairs.append((float(entry[0]), int(entry[1])))
+    return pairs
 
 
-def _build_legacy(data: dict) -> LegacyPolicy:
-    keys = ("pre_accept_delay", "max_connections_per_host", "overload_mode")
-    _check_keys(data, keys, "legacy")
-    kwargs = {}
-    if "pre_accept_delay" in data:
-        kwargs["pre_accept_delay"] = float(data["pre_accept_delay"])
-    if "max_connections_per_host" in data:
-        kwargs["max_connections_per_host"] = int(data["max_connections_per_host"])
-    if "overload_mode" in data:
-        kwargs["overload_mode"] = str(data["overload_mode"])
-    return LegacyPolicy(**kwargs)
+def _decode_weights(value, where: str) -> dict[str, float]:
+    return {str(k): float(v) for k, v in _require_mapping(value, where).items()}
 
 
-def _build_client(data: dict) -> ClientConfig:
-    keys = ("helo_name", "supported_algorithms", "work_budget_seconds", "hash_rate", "max_reissues")
-    _check_keys(data, keys, "client")
-    kwargs = {}
-    if "helo_name" in data:
-        kwargs["helo_name"] = str(data["helo_name"])
-    if "supported_algorithms" in data:
-        algs = data["supported_algorithms"]
-        if not isinstance(algs, list):
-            raise ConfigError("client.supported_algorithms must be a list of integers")
-        kwargs["supported_algorithms"] = tuple(int(a) for a in algs)
-    if "work_budget_seconds" in data:
-        kwargs["work_budget_seconds"] = float(data["work_budget_seconds"])
-    if "hash_rate" in data and data["hash_rate"] is not None:
-        kwargs["hash_rate"] = float(data["hash_rate"])
-    if "max_reissues" in data:
-        kwargs["max_reissues"] = int(data["max_reissues"])
-    return ClientConfig(**kwargs)
+_ENDPOINT = (lambda value, where: parse_endpoint(str(value)), format_endpoint)
+
+# per field type: (decode(YAML value, where) -> field value, encode(field value) -> YAML value)
+_CODECS = {
+    int: _scalar(int),
+    float: _scalar(float),
+    str: _scalar(str),
+    bool: _scalar(bool),
+    float | None: _optional(_scalar(float)),
+    tuple[str, int]: _ENDPOINT,
+    tuple[str, int] | None: _optional(_ENDPOINT),
+    tuple[int, ...]: (lambda value, where: tuple(map(int, _require_list(value, where, "integers"))), list),
+    frozenset[str]: (lambda value, where: frozenset(map(str, _require_list(value, where, "patterns"))), sorted),
+    dict[str, float]: (_decode_weights, lambda weights: dict(sorted(weights.items()))),
+    list[tuple[float, int]]: (_decode_buckets, lambda buckets: [list(b) for b in buckets]),
+}
 
 
-_SECTIONS = ("server", "policy", "scorer", "legacy", "client")
+def _kwargs(cls, data: dict, where: str) -> dict:
+    """Decoded values for the fields of ``cls`` that ``data`` sets."""
+    hints = get_type_hints(cls)
+    return {f.name: _decode(hints[f.name], data[f.name], f"{where}.{f.name}")
+            for f in fields(cls) if f.name in data}
+
+
+def _decode(hint, value, where: str):
+    if not is_dataclass(hint):
+        return _CODECS[hint][0](value, where)
+    data = _require_mapping(value, where)
+    _check_keys(data, [f.name for f in fields(hint)], where)
+    return hint(**_kwargs(hint, data, where))
+
+
+def _encode(hint, value):
+    if not is_dataclass(hint):
+        return _CODECS[hint][1](value)
+    hints = get_type_hints(hint)
+    return {f.name: _encode(hints[f.name], getattr(value, f.name)) for f in fields(hint)}
+
+
+_APP_HINTS = get_type_hints(AppConfig)
+# AppConfig's own settings, which the YAML carries in the ServerConfig section
+_CARRIED = [name for name, hint in _APP_HINTS.items() if not is_dataclass(hint)]
+_SECTIONS = {name: hint for name, hint in _APP_HINTS.items() if is_dataclass(hint)}
+_SERVER = next(name for name, hint in _SECTIONS.items() if hint is ServerConfig)
 
 
 def build_app_config(data: dict) -> AppConfig:
@@ -215,18 +161,16 @@ def build_app_config(data: dict) -> AppConfig:
     data = _require_mapping(data, "configuration")
     _check_keys(data, _SECTIONS, "configuration")
     try:
-        server, extras = _build_server(_require_mapping(data.get("server"), "server"))
-        app = AppConfig(
-            server=server,
-            policy=_build_policy(_require_mapping(data.get("policy"), "policy")),
-            scorer=_build_scorer(_require_mapping(data.get("scorer"), "scorer")),
-            legacy=_build_legacy(_require_mapping(data.get("legacy"), "legacy")),
-            client=_build_client(_require_mapping(data.get("client"), "client")),
-            **extras,
-        )
+        server = _require_mapping(data.get(_SERVER), _SERVER)
+        _check_keys(server, _CARRIED + [f.name for f in fields(ServerConfig)], _SERVER)
+        carried = _kwargs(AppConfig, {k: v for k, v in server.items() if k in _CARRIED}, _SERVER)
+        if carried.get("store_capacity", DEFAULT_STORE_CAPACITY) < 1:
+            raise ConfigError(f"{_SERVER}.store_capacity must be at least 1")
+        data = {**data, _SERVER: {k: v for k, v in server.items() if k not in _CARRIED}}
+        sections = {name: _decode(hint, data.get(name), name) for name, hint in _SECTIONS.items()}
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    return app
+    return AppConfig(**carried, **sections)
 
 
 def load_config(path: str | None) -> AppConfig:
@@ -245,52 +189,9 @@ def load_config(path: str | None) -> AppConfig:
 
 def effective_dict(app: AppConfig) -> dict:
     """The full merged configuration, defaults included."""
-    return {
-        "server": {
-            "listen": format_endpoint(app.listen),
-            "sink_dir": app.sink_dir,
-            "store_capacity": app.store_capacity,
-            "hostname": app.server.hostname,
-            "max_message_bytes": app.server.max_message_bytes,
-            "advertise_auth": app.server.advertise_auth,
-            "advertise_starttls": app.server.advertise_starttls,
-            "pow_algorithms": list(app.server.pow_algorithms),
-            "puzzle_ttl": app.server.puzzle_ttl,
-        },
-        "policy": {
-            "resist_threshold": app.policy.resist_threshold,
-            "mode": app.policy.mode,
-            "base_difficulty": app.policy.base_difficulty,
-            "graduated_buckets": [list(b) for b in app.policy.graduated_buckets],
-            "jitter_bits": app.policy.jitter_bits,
-            "whitelist": sorted(app.policy.whitelist),
-            "sinbin": {
-                "max_refusals": app.policy.sinbin.max_refusals,
-                "window": app.policy.sinbin.window,
-                "block_duration": app.policy.sinbin.block_duration,
-            },
-        },
-        "scorer": {
-            "mode": app.scorer.mode,
-            "token_weights": dict(sorted(app.scorer.token_weights.items())),
-            "endpoint": format_endpoint(app.scorer.endpoint) if app.scorer.endpoint else None,
-            "timeout": app.scorer.timeout,
-            "fallback": app.scorer.fallback,
-            "max_body_bytes": app.scorer.max_body_bytes,
-        },
-        "legacy": {
-            "pre_accept_delay": app.legacy.pre_accept_delay,
-            "max_connections_per_host": app.legacy.max_connections_per_host,
-            "overload_mode": app.legacy.overload_mode,
-        },
-        "client": {
-            "helo_name": app.client.helo_name,
-            "supported_algorithms": list(app.client.supported_algorithms),
-            "work_budget_seconds": app.client.work_budget_seconds,
-            "hash_rate": app.client.hash_rate,
-            "max_reissues": app.client.max_reissues,
-        },
-    }
+    tree = _encode(AppConfig, app)
+    tree[_SERVER].update({name: tree.pop(name) for name in _CARRIED})
+    return tree
 
 
 def dump_effective(app: AppConfig) -> str:

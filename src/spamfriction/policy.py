@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import NamedTuple
 
+from .puzzle import MAX_DIFFICULTY
 from .scoring import SpamScore
 
-MAX_DIFFICULTY = 64
 MAX_JITTER_BITS = 4
 
 
@@ -41,7 +41,7 @@ class Decision:
     def __post_init__(self) -> None:
         if self.kind is DecisionKind.RESIST:
             if self.difficulty is None or not 0 <= self.difficulty <= MAX_DIFFICULTY:
-                raise ValueError("resist decisions need a difficulty in [0, 64]")
+                raise ValueError(f"resist decisions need a difficulty in [0, {MAX_DIFFICULTY}]")
         if self.kind is DecisionKind.BLOCKED and self.blocked_until is None:
             raise ValueError("blocked decisions need a blocked_until time")
 
@@ -87,7 +87,7 @@ class PolicyConfig:
         if self.mode not in ("single-level", "graduated"):
             raise ValueError(f"unknown policy mode: {self.mode!r}")
         if not 0 <= self.base_difficulty <= MAX_DIFFICULTY:
-            raise ValueError("base_difficulty must lie in [0, 64]")
+            raise ValueError(f"base_difficulty must lie in [0, {MAX_DIFFICULTY}]")
         if not 0 <= self.jitter_bits <= MAX_JITTER_BITS:
             raise ValueError(f"jitter_bits must lie in [0, {MAX_JITTER_BITS}]")
         if self.mode == "graduated":
@@ -100,7 +100,7 @@ class PolicyConfig:
             if diffs != sorted(diffs):
                 raise ValueError("bucket difficulties must be non-decreasing in score")
             if any(not 0 <= d <= MAX_DIFFICULTY for d in diffs):
-                raise ValueError("bucket difficulties must lie in [0, 64]")
+                raise ValueError(f"bucket difficulties must lie in [0, {MAX_DIFFICULTY}]")
         self.whitelist = frozenset(entry.casefold() for entry in self.whitelist)
 
 

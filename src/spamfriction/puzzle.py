@@ -172,7 +172,10 @@ def leading_zero_bits(digest: bytes) -> int:
 
 def verify_hash(puzzle: Puzzle, solution: str) -> bool:
     """True iff SHA-256("<alg>:<difficulty>:<nonce>:<solution>") starts with
-    at least ``difficulty`` zero bits.  Pure predicate, one hash evaluation."""
+    at least ``difficulty`` zero bits.  Pure predicate, one hash evaluation.
+    Raises :class:`UnsupportedAlgorithmError` for any other algorithm."""
+    if puzzle.algorithm != ALG_BASELINE:
+        raise UnsupportedAlgorithmError(f"cannot verify algorithm {puzzle.algorithm}")
     message = f"{puzzle.algorithm}:{puzzle.difficulty}:{puzzle.nonce}:{solution}"
     digest = hashlib.sha256(message.encode("ascii")).digest()
     full, rem = divmod(puzzle.difficulty, 8)
@@ -349,24 +352,23 @@ class CalibrationResult(NamedTuple):
 
 
 def measure_hash_rate(duration: float = 0.25) -> float:
-    """Hashes per second of the solver's inner loop on this host."""
+    """Hashes per second of :func:`solve` on this host, timed on a
+    difficulty-64 probe that no batch is expected to solve."""
     if duration <= 0:
         raise ValueError("duration must be positive")
-    prefix = b"0:64:000000000000000000:"
-    sha256 = hashlib.sha256
+    probe = Puzzle(algorithm=ALG_BASELINE, difficulty=MAX_DIFFICULTY, nonce="0" * 18)
+    batch = 2048
     count = 0
     start = time.perf_counter()
-    deadline = start + duration
     while True:
-        for counter in range(count, count + 2048):
-            sha256(prefix + str(counter).encode("ascii")).digest()
-        count += 2048
+        try:
+            solve(probe, start_counter=count, attempt_cap=batch)
+        except AttemptsExhausted:
+            pass
+        count += batch
         elapsed = time.perf_counter() - start
-        if time.perf_counter() >= deadline:
-            break
-    if elapsed <= 0 or count == 0:
-        raise CalibrationError("hash rate unmeasurable")
-    return count / elapsed
+        if elapsed >= duration:
+            return count / elapsed
 
 
 def difficulty_for_target(target_seconds: float, hash_rate: float) -> int:

@@ -216,7 +216,8 @@ def _run_unbounded(spec, config, p, cost, rng) -> CohortResult:
     result = CohortResult(spec)
     machine_days = spec.machines * config.days
     cap = config.free_message_cap
-    paid_slots = int(config.day_seconds // cost) if cost > 0.0 else 0
+    # clamp to the cap before int(): a tiny cost makes the quotient infinite
+    paid_slots = int(min(config.day_seconds // cost, cap)) if cost > 0.0 else 0
     expected_free = paid_slots * (1.0 - p) / p if p > 0.0 else math.inf
     if p == 0.0 or cost == 0.0 or paid_slots >= cap or expected_free >= cap:
         # the burden cannot meaningfully slow this machine down (never

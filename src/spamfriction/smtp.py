@@ -190,16 +190,17 @@ class MailServerCore:
         entropy: random.Random | None = None,
         rng: random.Random | None = None,
     ):
-        self.config = config or ServerConfig()
-        self.policy_config = policy_config or PolicyConfig()
-        self.scorer = scorer or Scorer(ScorerConfig())
-        self.sinbin = sinbin or SinBin(self.policy_config.sinbin)
-        self.store = store or pow.IssuedPuzzleStore()
+        # "is None", not "or": an empty store is falsy (it has __len__)
+        self.config = ServerConfig() if config is None else config
+        self.policy_config = PolicyConfig() if policy_config is None else policy_config
+        self.scorer = Scorer(ScorerConfig()) if scorer is None else scorer
+        self.sinbin = SinBin(self.policy_config.sinbin) if sinbin is None else sinbin
+        self.store = pow.IssuedPuzzleStore() if store is None else store
         self.sink = sink
-        self.clock = clock or SystemClock()
-        self.legacy = legacy or LegacyPolicy()
+        self.clock = SystemClock() if clock is None else clock
+        self.legacy = LegacyPolicy() if legacy is None else legacy
         self.entropy = entropy
-        self.rng = rng or random.Random()
+        self.rng = random.Random() if rng is None else rng
         self.traffic = HostTraffic(self.legacy)
         self._id_lock = threading.Lock()
 
@@ -284,23 +285,10 @@ class ServerSession:
             if verb == "QUIT":
                 return self._handle_quit(now)
             return ["503 Reply pending, wait"]
-        handler = {
-            "EHLO": self._handle_ehlo,
-            "HELO": self._handle_helo,
-            "POW": self._handle_pow,
-            "MAIL": self._handle_mail,
-            "RCPT": self._handle_rcpt,
-            "DATA": self._handle_data,
-            "RSET": self._handle_rset,
-            "NOOP": lambda rest, now: ["250 OK"],
-            "HELP": lambda rest, now: [
-                "214 Commands supported: EHLO HELO MAIL RCPT DATA POW RSET NOOP HELP QUIT"
-            ],
-            "QUIT": lambda rest, now: self._handle_quit(now),
-        }.get(verb)
+        handler = self._COMMANDS.get(verb)
         if handler is None:
             return ["500 Unrecognised command"]
-        return handler(rest, now)
+        return handler(self, rest, now)
 
     def poll(self, now: float | None = None) -> list[str]:
         """Release a withheld legacy reply once its delay has elapsed."""
@@ -573,29 +561,32 @@ class ServerSession:
         if outcome is pow.VerifyOutcome.ACCEPTED:
             assert self._pending is not None
             reply = self._deliver(self._pending, now, resisted=True)
-            self._leave_burdened()
-            self._pending = None
-            self.puzzle = None
-            self._reissued = False
-            self._reset_envelope()
-            self.state = SessionState.READY
+            self._end_receipt_wait()
             return [reply]
         if outcome in (pow.VerifyOutcome.BAD_SOLUTION, pow.VerifyOutcome.EXPIRED) and not self._reissued:
             # one fresh chance for an honest solver that fumbled or ran long
             self._reissued = True
-            challenge = self._issue_puzzle(self.puzzle.difficulty, now)
+            try:
+                challenge = self._issue_puzzle(self.puzzle.difficulty, now)
+            except pow.StoreFullError:
+                # the overload is the server's, so no refusal is recorded
+                self._end_receipt_wait()
+                return ["452 Too many outstanding puzzles, try again later"]
             return [f"211 POW Required (SPAM) {challenge.wire}"]
         return self._fail_receipt(now, outcome.value)
 
     def _fail_receipt(self, now: float, reason: str) -> list[str]:
         self._record_refusal(now, reason)
+        self._end_receipt_wait()
+        return ["554 POW verification failed"]
+
+    def _end_receipt_wait(self) -> None:
         self._leave_burdened()
         self._pending = None
         self.puzzle = None
         self._reissued = False
         self._reset_envelope()
         self.state = SessionState.READY
-        return ["554 POW verification failed"]
 
     # -- shared helpers --------------------------------------------------------
 
@@ -658,6 +649,21 @@ class ServerSession:
         self._body_size = 0
         self._oversized = False
 
+    _COMMANDS = {
+        "EHLO": _handle_ehlo,
+        "HELO": _handle_helo,
+        "POW": _handle_pow,
+        "MAIL": _handle_mail,
+        "RCPT": _handle_rcpt,
+        "DATA": _handle_data,
+        "RSET": _handle_rset,
+        "NOOP": lambda self, rest, now: ["250 OK"],
+        "HELP": lambda self, rest, now: [
+            "214 Commands supported: EHLO HELO MAIL RCPT DATA POW RSET NOOP HELP QUIT"
+        ],
+        "QUIT": lambda self, rest, now: self._handle_quit(now),
+    }
+
 
 # -- transport: running sessions over sockets -----------------------------------
 
@@ -692,6 +698,10 @@ def serve_connection(core: MailServerCore, conn: socket.socket, peer_host: str) 
                     core.clock.sleep(wait)
                 send(session.poll(core.clock.now()))
     except (OSError, ValueError):
+        session.on_disconnect(core.clock.now())
+    except Exception:
+        # a server fault must still release the host's burdened slot
+        logger.exception("session with %s failed", peer_host)
         session.on_disconnect(core.clock.now())
     finally:
         rfile.close()
@@ -881,7 +891,15 @@ def client_send(message: Message, conn: socket.socket, config: ClientConfig | No
                     estimate_seconds=estimate,
                 )
             started = time.monotonic()
-            receipt = pow.solve(challenge)
+            try:
+                receipt = pow.solve(challenge, attempt_cap=int(budget_left * rate))
+            except pow.AttemptsExhausted as exc:
+                quit_politely()
+                return SendResult(
+                    SendStatus.REFUSED_BURDEN,
+                    detail=f"no solution within the work budget ({exc.attempts} attempts)",
+                    estimate_seconds=estimate,
+                )
             budget_left -= time.monotonic() - started
             code, lines = command(f"POW RECEIPT {receipt.wire}")
             reissues += 1

@@ -1,6 +1,7 @@
 """Command line interface and YAML configuration handling."""
 import csv
 import io
+from pathlib import Path
 
 import pytest
 import yaml
@@ -59,6 +60,9 @@ def test_verify_accepts_and_rejects(capsys):
     assert cli.main(["verify", "0:8:424242424242424:27"]) == 3
     assert "invalid" in capsys.readouterr().err
     assert cli.main(["verify", "0:8:nope"]) == 64
+    # algorithm 7 is not implemented, so no receipt for it can be checked
+    assert cli.main(["verify", "7:0:1:1"]) == 3
+    assert "cannot verify" in capsys.readouterr().err
 
 
 def test_solve_verify_round_trip(capsys):
@@ -227,11 +231,71 @@ def test_bad_yaml_and_missing_file(tmp_path):
         load_config(str(tmp_path / "nope.yaml"))
 
 
+# every key set to a value other than its default
+ALL_KEYS_YAML = """
+server:
+  listen: "[::1]:2626"
+  sink_dir: /var/mail/test
+  store_capacity: 7
+  hostname: mx.test
+  max_message_bytes: 1000
+  advertise_auth: false
+  advertise_starttls: false
+  pow_algorithms: [0, 3]
+  puzzle_ttl: 60.5
+policy:
+  resist_threshold: 0.2
+  mode: graduated
+  base_difficulty: 12
+  graduated_buckets: [[0.5, 10], [1.0, 14]]
+  jitter_bits: 2
+  whitelist: ["*.Friends.example", "boss@example.org"]
+  sinbin: {max_refusals: 5, window: 60, block_duration: 120}
+scorer:
+  mode: external
+  token_weights: {spam: 5.0, lunch: -2}
+  endpoint: "127.0.0.1:7070"
+  timeout: 2.5
+  fallback: 0.5
+  max_body_bytes: 4096
+legacy:
+  pre_accept_delay: 5
+  max_connections_per_host: 3
+  overload_mode: escalate-difficulty
+client:
+  helo_name: sender.test
+  supported_algorithms: [0, 1]
+  work_budget_seconds: 3.0
+  hash_rate: 123456.0
+  max_reissues: 4
+"""
+
+
+def _leaves(mapping, prefix=""):
+    """(dotted key, value) for every configuration key; token weights are one value."""
+    for key, value in mapping.items():
+        if isinstance(value, dict) and key != "token_weights":
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
 def test_effective_config_round_trips():
-    app = AppConfig()
-    once = effective_dict(app)
-    rebuilt = build_app_config(yaml.safe_load(dump_effective(app)))
-    assert effective_dict(rebuilt) == once
+    custom = build_app_config(yaml.safe_load(ALL_KEYS_YAML))
+    defaults = dict(_leaves(effective_dict(AppConfig())))
+    assert [k for k, v in _leaves(effective_dict(custom)) if v == defaults[k]] == []
+    for app in (AppConfig(), custom):
+        once = effective_dict(app)
+        rebuilt = build_app_config(yaml.safe_load(dump_effective(app)))
+        assert effective_dict(rebuilt) == once
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    documented = yaml.safe_load(block)
+    assert dict(_leaves(documented)).keys() == dict(_leaves(effective_dict(AppConfig()))).keys()
+    build_app_config(documented)  # and the example is itself a valid configuration
 
 
 def test_config_errors_exit_78(tmp_path, capsys):

@@ -21,6 +21,7 @@ from spamfriction.smtp import (
     ClientConfig,
     LegacyPolicy,
     MailboxSink,
+    MailServerCore,
     Message,
     SendStatus,
     ServerConfig,
@@ -422,6 +423,29 @@ def test_delivery_clears_refusal_history():
     assert submit_body(final, SPAM_BODY, now=5.0)[0].startswith("211 ")
 
 
+def test_injected_empty_store_is_kept():
+    # an empty store is falsy, so injection must not test truthiness
+    assert MailServerCore(store=pow.IssuedPuzzleStore(5)).store.capacity == 5
+
+
+def test_reissue_into_full_store_releases_the_host():
+    core = build_core(sinbin=SinBinConfig(max_refusals=1, window=10.0, block_duration=100.0))
+    core.store = pow.IssuedPuzzleStore(2)
+    pow.generate_challenge(core.store, difficulty=8, now=0.0)  # another session's live puzzle
+    session, challenge = setup_awaiting(core)
+    bad = "1" if not pow.verify_hash(challenge, "1") else "2"
+    assert session.handle_line(f"POW RECEIPT {challenge.wire}:{bad}", 0.0) == [
+        "452 Too many outstanding puzzles, try again later"
+    ]
+    assert session.state is SessionState.READY
+    assert session.puzzle is None
+    assert core.traffic.burdened_count("10.1.2.3") == 0
+    # the overload is the server's: no refusal is held against the host
+    assert core.sinbin.blocked_until("10.1.2.3", 1.0) is None
+    send_envelope(session)
+    assert submit_body(session, HAM_BODY)[0].startswith("250 OK")
+
+
 # -- legacy senders ---------------------------------------------------------------
 
 
@@ -729,6 +753,56 @@ def test_second_connection_refused_while_host_delayed():
         assert code == 250
         rfile.close()
         first.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_session_fault_counts_as_disconnect(monkeypatch):
+    core = build_core(clock=SystemClock())
+
+    def broken(self, arg, now):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(ServerSession, "_handle_receipt", broken)
+    server, addr = start_server(core)
+    try:
+        conn = socket.create_connection(addr, timeout=10)
+        rfile = conn.makefile("rb")
+        read_reply(rfile)
+        for line in ("EHLO a.example", "POW ISUPPORT ALG0", "MAIL FROM: a@b", "RCPT TO: c@d", "DATA"):
+            conn.sendall(line.encode() + b"\r\n")
+            read_reply(rfile)
+        conn.sendall(b"buy spam pills\r\n.\r\n")
+        code, lines = read_reply(rfile)
+        assert code == 211
+        assert core.traffic.burdened_count("127.0.0.1") == 1
+        conn.sendall(f"POW RECEIPT {lines[-1].rsplit(' ', 1)[-1]}:1\r\n".encode())
+        # the server drops the link only after releasing the session's state
+        assert rfile.readline() == b""
+        assert core.traffic.burdened_count("127.0.0.1") == 0
+        rfile.close()
+        conn.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_client_gives_up_when_the_solution_lies_beyond_its_budget():
+    core = build_core(clock=SystemClock(), difficulty=8)
+    # first solution of 0:8:<nonce> is counter 1450, past the 256-hash cap below
+    core.entropy = FixedEntropy(100000000000000033)
+    server, addr = start_server(core)
+    try:
+        result = send_message(
+            addr,
+            Message("mallory@example.org", ["bob@example.net"], b"buy spam pills"),
+            ClientConfig(work_budget_seconds=1.0, hash_rate=256.0),
+        )
+        assert result.status is SendStatus.REFUSED_BURDEN
+        assert result.estimate_seconds == 1.0
+        assert "256 attempts" in result.detail
+        assert not core.sink.messages
     finally:
         server.shutdown()
         server.server_close()

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spamfriction import sim
@@ -259,6 +259,8 @@ def test_presets_exist_and_run():
     quota=st.one_of(st.none(), st.integers(1, 40)),
     seed=st.integers(0, 2**31),
 )
+# a subnormal burden makes day_seconds // cost infinite
+@example(fp=0.0, fn=0.0, burden=5e-324, machines=1, quota=None, seed=0)
 def test_accounting_invariants(fp, fn, burden, machines, quota, seed):
     config = sim.SimConfig(
         false_positive_rate=fp,
