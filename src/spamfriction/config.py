@@ -82,6 +82,16 @@ def _scalar(convert):
     return lambda value, where: convert(value), lambda value: value
 
 
+def _exact(kind):
+    """A YAML scalar that must already be a ``kind``: ``'no'`` is not a bool,
+    and ``null`` is not a string."""
+    def decode(value, where: str):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{where} must be a {kind.__name__}, got {value!r}")
+        return value
+    return decode, lambda value: value
+
+
 def _optional(codec):
     decode, encode = codec
     return (
@@ -115,8 +125,8 @@ _ENDPOINT = (lambda value, where: parse_endpoint(str(value)), format_endpoint)
 _CODECS = {
     int: _scalar(int),
     float: _scalar(float),
-    str: _scalar(str),
-    bool: _scalar(bool),
+    str: _exact(str),
+    bool: _exact(bool),
     float | None: _optional(_scalar(float)),
     tuple[str, int]: _ENDPOINT,
     tuple[str, int] | None: _optional(_ENDPOINT),

@@ -13,7 +13,7 @@ import enum
 import math
 import random
 import threading
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import NamedTuple
@@ -111,35 +111,52 @@ class SinBin:
     ``window`` seconds is blocked for ``block_duration`` seconds.  A
     successful delivery clears the host's refusal ring.  All updates are
     atomic per call.
+
+    Both maps are kept in the order of each host's latest update, and each
+    call that knows the time drops stale hosts from their front, so only
+    hosts that refused within ``window`` or are still blocked are kept.
+    Answers come from the host's own timestamps; a clock that steps back
+    only delays that reclamation.
     """
 
     def __init__(self, config: SinBinConfig | None = None):
         self.config = config or SinBinConfig()
-        self._refusals: dict[str, deque[float]] = {}
-        self._blocked_until: dict[str, float] = {}
+        self._refusals: OrderedDict[str, deque[float]] = OrderedDict()
+        self._blocked_until: OrderedDict[str, float] = OrderedDict()
         self._lock = threading.Lock()
+
+    def _prune(self, now: float) -> None:
+        # caller holds the lock
+        horizon = now - self.config.window
+        refusals = self._refusals
+        while refusals and refusals[next(iter(refusals))][-1] <= horizon:
+            refusals.popitem(last=False)
+        blocks = self._blocked_until
+        while blocks and blocks[next(iter(blocks))] <= now:
+            blocks.popitem(last=False)
 
     def blocked_until(self, host: str, now: float) -> float | None:
         """The block expiry for this host, or None if it may deliver."""
         with self._lock:
+            self._prune(now)
             until = self._blocked_until.get(host)
-            if until is None:
-                return None
-            if until <= now:
-                del self._blocked_until[host]
+            if until is None or until <= now:
                 return None
             return until
 
     def record_refusal(self, host: str, now: float) -> None:
         cfg = self.config
         with self._lock:
-            ring = self._refusals.setdefault(host, deque())
+            self._prune(now)
+            ring = self._refusals.pop(host, None) or deque()
             ring.append(now)
-            while ring and ring[0] <= now - cfg.window:
+            while ring[0] <= now - cfg.window:
                 ring.popleft()
             if len(ring) >= cfg.max_refusals:
                 self._blocked_until[host] = now + cfg.block_duration
-                ring.clear()
+                self._blocked_until.move_to_end(host)
+            else:
+                self._refusals[host] = ring
 
     def record_success(self, host: str) -> None:
         with self._lock:

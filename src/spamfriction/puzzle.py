@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import heapq
 import math
 import random
 import threading
@@ -118,11 +119,15 @@ def format_receipt(receipt: Receipt) -> str:
 def _parse_number(field: str, what: str) -> int:
     if not field.isascii() or not field.isdigit():
         raise WireFormatError(f"{what} is not a decimal number: {field!r}")
-    if str(int(field)) != field:
+    if field != "0" and field.startswith("0"):
         # e.g. "021" -- the wire format is bit-exact, so only canonical
         # decimal renderings round-trip
         raise WireFormatError(f"{what} has a non-canonical form: {field!r}")
-    return int(field)
+    try:
+        return int(field)
+    except ValueError:
+        # more digits than int() converts (sys.get_int_max_str_digits)
+        raise WireFormatError(f"{what} has too many digits: {len(field)}") from None
 
 
 def _parse_fields(wire: str, count: int, kind: str) -> list[str]:
@@ -136,33 +141,32 @@ def _parse_fields(wire: str, count: int, kind: str) -> list[str]:
     return fields
 
 
+def _checked(cls, **values):
+    """``cls(**values)``, with the dataclass's own checks reported as a
+    wire-format error."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise WireFormatError(str(exc)) from exc
+
+
 def _puzzle_from_fields(alg_s: str, diff_s: str, nonce: str) -> Puzzle:
     algorithm = _parse_number(alg_s, "algorithm")
     if algorithm > 10**6:
         raise WireFormatError(f"algorithm id out of range: {alg_s}")
     difficulty = _parse_number(diff_s, "difficulty")
-    if difficulty > MAX_DIFFICULTY:
-        raise WireFormatError(f"difficulty {difficulty} exceeds the cap of {MAX_DIFFICULTY}")
-    if not nonce or not nonce.isdigit():
-        raise WireFormatError(f"nonce must be a nonempty digit string: {nonce!r}")
-    if len(nonce) > MAX_NONCE_LEN:
-        raise WireFormatError("nonce too long")
-    return Puzzle(algorithm=algorithm, difficulty=difficulty, nonce=nonce)
+    return _checked(Puzzle, algorithm=algorithm, difficulty=difficulty, nonce=nonce)
 
 
 def parse_puzzle(wire: str) -> Puzzle:
     """Parse ``<alg>:<difficulty>:<nonce>``."""
-    alg_s, diff_s, nonce = _parse_fields(wire, 3, "puzzle")
-    return _puzzle_from_fields(alg_s, diff_s, nonce)
+    return _puzzle_from_fields(*_parse_fields(wire, 3, "puzzle"))
 
 
 def parse_receipt(wire: str) -> Receipt:
     """Parse ``<alg>:<difficulty>:<nonce>:<solution>``."""
     alg_s, diff_s, nonce, solution = _parse_fields(wire, 4, "receipt")
-    puzzle = _puzzle_from_fields(alg_s, diff_s, nonce)
-    if not solution or not solution.isdigit() or len(solution) > MAX_SOLUTION_LEN:
-        raise WireFormatError(f"solution must be a digit string: {solution!r}")
-    return Receipt(puzzle=puzzle, solution=solution)
+    return _checked(Receipt, puzzle=_puzzle_from_fields(alg_s, diff_s, nonce), solution=solution)
 
 
 def leading_zero_bits(digest: bytes) -> int:
@@ -226,71 +230,67 @@ class VerifyOutcome(enum.Enum):
         return self is VerifyOutcome.ACCEPTED
 
 
-class _Entry:
-    __slots__ = ("puzzle", "consumed")
-
-    def __init__(self, puzzle: Puzzle):
-        self.puzzle = puzzle
-        self.consumed = False
-
-
 class IssuedPuzzleStore:
     """Nonce -> issued puzzle map with single-use consumption.
 
     Concurrent issue/verify is safe; consumption is check-and-set under one
     lock so a nonce can never verify twice.  Capacity-bound: when full, the
-    oldest expired entry is evicted, and if nothing has expired yet the
-    issuance is refused (overload signal).
+    entry that expired first is evicted, found at the top of a heap of
+    ``(expires_at, nonce)``, and if nothing has expired yet the issuance is
+    refused (overload signal).  Consumed nonces stay until evicted, so a
+    replay within the puzzle's lifetime reads as ``REPLAYED``.
     """
 
     def __init__(self, capacity: int = 10_000):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self._entries: dict[str, _Entry] = {}
+        self._puzzles: dict[str, Puzzle] = {}
+        self._consumed: set[str] = set()
+        self._expiries: list[tuple[float, str]] = []  # heap, one entry per puzzle
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._puzzles)
 
     def __contains__(self, nonce: str) -> bool:
         with self._lock:
-            return nonce in self._entries
+            return nonce in self._puzzles
 
     def register(self, puzzle: Puzzle, now: float) -> None:
         with self._lock:
-            if puzzle.nonce in self._entries:
+            if puzzle.nonce in self._puzzles:
                 raise ValueError(f"nonce {puzzle.nonce} already issued")
-            if len(self._entries) >= self.capacity:
-                self._evict_oldest_expired(now)
-            self._entries[puzzle.nonce] = _Entry(puzzle)
+            self._add(puzzle, now)
 
-    def _evict_oldest_expired(self, now: float) -> None:
-        # caller holds the lock
-        oldest: str | None = None
-        oldest_expiry = math.inf
-        for nonce, entry in self._entries.items():
-            if entry.puzzle.expires_at <= now and entry.puzzle.expires_at < oldest_expiry:
-                oldest = nonce
-                oldest_expiry = entry.puzzle.expires_at
-        if oldest is None:
-            raise StoreFullError(f"{len(self._entries)} live puzzles outstanding")
-        del self._entries[oldest]
+    def _add(self, puzzle: Puzzle, now: float) -> None:
+        # caller holds the lock and has checked that the nonce is new
+        entry = (puzzle.expires_at, puzzle.nonce)
+        if len(self._puzzles) >= self.capacity:
+            expires_at, nonce = self._expiries[0]
+            if expires_at > now:
+                raise StoreFullError(f"{len(self._puzzles)} live puzzles outstanding")
+            heapq.heapreplace(self._expiries, entry)
+            del self._puzzles[nonce]
+            self._consumed.discard(nonce)
+        else:
+            heapq.heappush(self._expiries, entry)
+        self._puzzles[puzzle.nonce] = puzzle
 
     def verify_and_consume(self, receipt: Receipt, now: float) -> VerifyOutcome:
         """Accept iff the nonce was issued, is unexpired and unconsumed, the
         receipt's header matches what was issued, and the hash checks out.
         Marks the nonce consumed on acceptance."""
+        nonce = receipt.puzzle.nonce
         with self._lock:
-            entry = self._entries.get(receipt.puzzle.nonce)
-            if entry is None:
+            issued = self._puzzles.get(nonce)
+            if issued is None:
                 return VerifyOutcome.UNKNOWN_NONCE
-            if entry.puzzle.expires_at <= now:
+            if issued.expires_at <= now:
                 return VerifyOutcome.EXPIRED
-            if entry.consumed:
+            if nonce in self._consumed:
                 return VerifyOutcome.REPLAYED
-            issued = entry.puzzle
             if (receipt.puzzle.algorithm, receipt.puzzle.difficulty) != (
                 issued.algorithm,
                 issued.difficulty,
@@ -300,7 +300,7 @@ class IssuedPuzzleStore:
                 return VerifyOutcome.BAD_SOLUTION
             if not verify_hash(issued, receipt.solution):
                 return VerifyOutcome.BAD_SOLUTION
-            entry.consumed = True
+            self._consumed.add(nonce)
             return VerifyOutcome.ACCEPTED
 
 
@@ -329,21 +329,14 @@ def generate_challenge(
         entropy = _SYSTEM_RANDOM
     if now is None:
         now = time.time()
-    for _ in range(32):
-        nonce = str(entropy.randrange(10**17, 10**18))
-        if nonce not in store:
-            break
-    else:
-        raise StoreFullError("could not draw an unused nonce")
-    puzzle = Puzzle(
-        algorithm=algorithm,
-        difficulty=difficulty,
-        nonce=nonce,
-        issued_at=now,
-        expires_at=now + ttl,
-    )
-    store.register(puzzle, now)
-    return puzzle
+    with store._lock:
+        for _ in range(32):
+            nonce = str(entropy.randrange(10**17, 10**18))
+            if nonce not in store._puzzles:
+                puzzle = Puzzle(algorithm, difficulty, nonce, issued_at=now, expires_at=now + ttl)
+                store._add(puzzle, now)
+                return puzzle
+    raise StoreFullError("could not draw an unused nonce")
 
 
 class CalibrationResult(NamedTuple):

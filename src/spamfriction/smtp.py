@@ -228,6 +228,10 @@ class SessionState(enum.Enum):
     DONE = "done"
 
 
+# the states in which a session holds one of its host's burdened slots
+_BURDENED_STATES = frozenset({SessionState.AWAITING_RECEIPT, SessionState.DELAYED})
+
+
 @dataclass
 class _PendingMessage:
     mail_from: str
@@ -262,7 +266,6 @@ class ServerSession:
         self._pending: _PendingMessage | None = None
         self._release_at: float | None = None
         self._withheld: list[str] | None = None
-        self._in_burdened = False
 
     # -- transport surface -------------------------------------------------
 
@@ -300,17 +303,12 @@ class ServerSession:
             return []
         pending = self._pending
         withheld = self._withheld
-        self._leave_burdened()
-        self._release_at = None
-        self._withheld = None
-        self._pending = None
-        self._reset_envelope()
         if pending is not None:
             # the acceptance is only uttered now, so delivery happens now
-            self.state = SessionState.READY
+            self._end_transaction(SessionState.READY, now)
             return [self._deliver(pending, now, resisted=False)]
         # the withheld reply was a temporary rejection; end the session
-        self.state = SessionState.DONE
+        self._end_transaction(SessionState.DONE, now)
         return withheld or []
 
     def next_release(self) -> float | None:
@@ -321,24 +319,22 @@ class ServerSession:
         outstanding counts as declining the burden."""
         if now is None:
             now = self.core.clock.now()
-        if self.state is SessionState.AWAITING_RECEIPT:
-            self._record_refusal(now, "disconnect")
-        self._leave_burdened()
-        self.state = SessionState.DONE
+        self._end_transaction(SessionState.DONE, now, refusal="disconnect")
 
     # -- command handlers ----------------------------------------------------
+
+    def _hello(self, arg: str, now: float, reason: str) -> None:
+        # a fresh EHLO or HELO ends any transaction and renegotiates from scratch
+        self._end_transaction(SessionState.READY, now, refusal=reason)
+        self.helo_name = arg
+        self.client_algs = None
+        self.pow_negotiated = False
+        self.negotiated_alg = None
 
     def _handle_ehlo(self, arg: str, now: float) -> list[str]:
         if not arg:
             return ["501 EHLO requires a domain"]
-        self._abandon_outstanding(now, "ehlo-reset")
-        self.helo_name = arg
-        self._reset_envelope()
-        # a fresh EHLO renegotiates from scratch
-        self.client_algs = None
-        self.pow_negotiated = False
-        self.negotiated_alg = None
-        self.state = SessionState.READY
+        self._hello(arg, now, "ehlo-reset")
         cfg = self.core.config
         lines = [f"250-{cfg.hostname} Hello {arg} [{self.peer_host}]"]
         lines.append(f"250-SIZE {cfg.max_message_bytes}")
@@ -354,13 +350,7 @@ class ServerSession:
     def _handle_helo(self, arg: str, now: float) -> list[str]:
         if not arg:
             return ["501 HELO requires a domain"]
-        self._abandon_outstanding(now, "helo-reset")
-        self.helo_name = arg
-        self._reset_envelope()
-        self.client_algs = None
-        self.pow_negotiated = False
-        self.negotiated_alg = None
-        self.state = SessionState.READY
+        self._hello(arg, now, "helo-reset")
         return [f"250 {self.core.config.hostname} Hello {arg} [{self.peer_host}]"]
 
     def _handle_pow(self, rest: str, now: float) -> list[str]:
@@ -421,19 +411,12 @@ class ServerSession:
         return ['354 Enter message, ending with "." on a line by itself']
 
     def _handle_rset(self, rest: str, now: float) -> list[str]:
-        self._abandon_outstanding(now, "rset")
-        self._reset_envelope()
-        if self.state is not SessionState.GREETED:
-            self.state = SessionState.READY
+        greeted = self.state is SessionState.GREETED
+        self._end_transaction(SessionState.GREETED if greeted else SessionState.READY, now, refusal="rset")
         return ["250 OK"]
 
     def _handle_quit(self, now: float) -> list[str]:
-        if self.state is SessionState.AWAITING_RECEIPT:
-            self._record_refusal(now, "quit")
-        self._leave_burdened()
-        self._pending = None
-        self._withheld = None
-        self.state = SessionState.DONE
+        self._end_transaction(SessionState.DONE, now, refusal="quit")
         return [f"221 {self.core.config.hostname} closing connection"]
 
     @staticmethod
@@ -467,8 +450,7 @@ class ServerSession:
     def _finish_data(self, now: float) -> list[str]:
         core = self.core
         if self._oversized:
-            self._reset_envelope()
-            self.state = SessionState.READY
+            self._end_transaction(SessionState.READY, now)
             return ["552 Message size exceeds fixed maximum message size"]
         body = b"\r\n".join(self._body_lines)
         score = core.scorer.score(body)
@@ -497,22 +479,19 @@ class ServerSession:
 
     def _finish_data_pow(self, message: _PendingMessage, decision: Decision, now: float) -> list[str]:
         if decision.kind is DecisionKind.BLOCKED:
-            self.state = SessionState.DONE
+            self._end_transaction(SessionState.DONE, now)
             return ["421 Service temporarily unavailable, try again later"]
         if decision.kind is DecisionKind.ACCEPT:
-            reply = self._deliver(message, now, resisted=False)
-            self._reset_envelope()
-            self.state = SessionState.READY
-            return [reply]
+            self._end_transaction(SessionState.READY, now)
+            return [self._deliver(message, now, resisted=False)]
         try:
             challenge = self._issue_puzzle(decision.difficulty, now)
         except pow.StoreFullError:
-            self._reset_envelope()
-            self.state = SessionState.READY
+            self._end_transaction(SessionState.READY, now)
             return ["452 Too many outstanding puzzles, try again later"]
         self._pending = message
+        self.core.traffic.enter_burdened(self.peer_host)
         self.state = SessionState.AWAITING_RECEIPT
-        self._enter_burdened()
         return [f"211 POW Required (SPAM) {challenge.wire}"]
 
     def _finish_data_legacy(self, message: _PendingMessage, decision: Decision, now: float) -> list[str]:
@@ -520,15 +499,13 @@ class ServerSession:
         # pre-accept delay is the burden it carries instead, and the reply
         # (acceptance or rejection) is withheld until the delay elapses
         if decision.kind is DecisionKind.BLOCKED:
-            self._pending = None
             self._withheld = ["421 Service temporarily unavailable, try again later"]
         else:
             self._pending = message
-            self._withheld = None
         delay = self.core.legacy.pre_accept_delay
         self._release_at = now + delay
+        self.core.traffic.enter_burdened(self.peer_host)
         self.state = SessionState.DELAYED
-        self._enter_burdened()
         if delay == 0:
             return self.poll(now)
         return []
@@ -559,10 +536,10 @@ class ServerSession:
             return self._fail_receipt(now, "wrong-nonce")
         outcome = self.core.store.verify_and_consume(receipt, now)
         if outcome is pow.VerifyOutcome.ACCEPTED:
-            assert self._pending is not None
-            reply = self._deliver(self._pending, now, resisted=True)
-            self._end_receipt_wait()
-            return [reply]
+            pending = self._pending
+            assert pending is not None
+            self._end_transaction(SessionState.READY, now)
+            return [self._deliver(pending, now, resisted=True)]
         if outcome in (pow.VerifyOutcome.BAD_SOLUTION, pow.VerifyOutcome.EXPIRED) and not self._reissued:
             # one fresh chance for an honest solver that fumbled or ran long
             self._reissued = True
@@ -570,23 +547,14 @@ class ServerSession:
                 challenge = self._issue_puzzle(self.puzzle.difficulty, now)
             except pow.StoreFullError:
                 # the overload is the server's, so no refusal is recorded
-                self._end_receipt_wait()
+                self._end_transaction(SessionState.READY, now)
                 return ["452 Too many outstanding puzzles, try again later"]
             return [f"211 POW Required (SPAM) {challenge.wire}"]
         return self._fail_receipt(now, outcome.value)
 
     def _fail_receipt(self, now: float, reason: str) -> list[str]:
-        self._record_refusal(now, reason)
-        self._end_receipt_wait()
+        self._end_transaction(SessionState.READY, now, refusal=reason)
         return ["554 POW verification failed"]
-
-    def _end_receipt_wait(self) -> None:
-        self._leave_burdened()
-        self._pending = None
-        self.puzzle = None
-        self._reissued = False
-        self._reset_envelope()
-        self.state = SessionState.READY
 
     # -- shared helpers --------------------------------------------------------
 
@@ -620,34 +588,30 @@ class ServerSession:
             "yes" if self.pow_negotiated else "no",
         )
 
-    def _record_refusal(self, now: float, reason: str) -> None:
-        self.core.sinbin.record_refusal(self.peer_host, now)
-        logger.info("outcome=refused peer=%s reason=%s", self.peer_host, reason)
+    def _end_transaction(self, state: SessionState, now: float, refusal: str | None = None) -> None:
+        """The one way out of a mail transaction, whatever ends it.
 
-    def _abandon_outstanding(self, now: float, reason: str) -> None:
-        if self.state is SessionState.AWAITING_RECEIPT:
-            self._record_refusal(now, reason)
-            self._leave_burdened()
-            self.puzzle = None
-            self._reissued = False
-        self._pending = None
-
-    def _enter_burdened(self) -> None:
-        if not self._in_burdened:
-            self.core.traffic.enter_burdened(self.peer_host)
-            self._in_burdened = True
-
-    def _leave_burdened(self) -> None:
-        if self._in_burdened:
+        Walking away from an outstanding puzzle with ``refusal`` set counts
+        as declining the burden.  The host's burdened slot is released, and
+        the puzzle, the pending message, the withheld reply and the envelope
+        are dropped before the session moves to ``state``.
+        """
+        if refusal is not None and self.puzzle is not None:
+            self.core.sinbin.record_refusal(self.peer_host, now)
+            logger.info("outcome=refused peer=%s reason=%s", self.peer_host, refusal)
+        if self.state in _BURDENED_STATES:
             self.core.traffic.leave_burdened(self.peer_host)
-            self._in_burdened = False
-
-    def _reset_envelope(self) -> None:
+        self.puzzle = None
+        self._reissued = False
+        self._pending = None
+        self._withheld = None
+        self._release_at = None
         self.mail_from = None
         self.recipients = []
         self._body_lines = []
         self._body_size = 0
         self._oversized = False
+        self.state = state
 
     _COMMANDS = {
         "EHLO": _handle_ehlo,
@@ -700,9 +664,10 @@ def serve_connection(core: MailServerCore, conn: socket.socket, peer_host: str) 
     except (OSError, ValueError):
         session.on_disconnect(core.clock.now())
     except Exception:
-        # a server fault must still release the host's burdened slot
+        # a server fault must still release the host's burdened slot, and is
+        # not the sender's refusal
         logger.exception("session with %s failed", peer_host)
-        session.on_disconnect(core.clock.now())
+        session._end_transaction(SessionState.DONE, core.clock.now())
     finally:
         rfile.close()
         try:

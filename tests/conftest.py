@@ -21,6 +21,16 @@ SPAM_BODY = ["Subject: spam", "", "buy spam pills"]
 HAM_BODY = ["Subject: lunch", "", "see you at the meeting friend"]
 
 
+class FixedEntropy:
+    """Entropy stub handing out a predetermined nonce sequence."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def randrange(self, lo, hi):
+        return self.values.pop(0)
+
+
 class RecordingSink:
     """In-memory delivery target for assertions."""
 

@@ -300,9 +300,16 @@ def test_readme_lists_every_config_key():
 
 def test_config_errors_exit_78(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
-    path.write_text("server:\n  hostnme: oops\n")
-    assert cli.main(["serve", "--config", str(path), "--dump-effective-config"]) == 78
-    assert "configuration error" in capsys.readouterr().err
+    for body, key in (
+        ("server:\n  hostnme: oops\n", "hostnme"),
+        # a bool takes only a YAML boolean, a string only a YAML string
+        ("server:\n  advertise_auth: 'no'\n", "server.advertise_auth"),
+        ("server:\n  hostname: null\n", "server.hostname"),
+    ):
+        path.write_text(body)
+        assert cli.main(["serve", "--config", str(path), "--dump-effective-config"]) == 78
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
 
 
 def test_dump_effective_config(tmp_path, capsys):

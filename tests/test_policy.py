@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spamfriction.policy import (
@@ -109,6 +109,54 @@ def test_success_clears_refusal_ring():
     sinbin.record_refusal("h", 2.0)
     sinbin.record_refusal("h", 3.0)
     assert sinbin.blocked_until("h", 4.0) is None
+
+
+class ReferenceSinBin:
+    """The sin bin's rule with no forgetting: every host is kept forever."""
+
+    def __init__(self, config):
+        self.config = config
+        self.rings = {}
+        self.blocks = {}
+
+    def blocked_until(self, host, now):
+        until = self.blocks.get(host)
+        return until if until is not None and until > now else None
+
+    def record_refusal(self, host, now):
+        ring = [t for t in self.rings.get(host, []) if t > now - self.config.window] + [now]
+        if len(ring) >= self.config.max_refusals:
+            self.blocks[host] = now + self.config.block_duration
+            ring = []
+        self.rings[host] = ring
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    config=st.builds(
+        SinBinConfig,
+        max_refusals=st.integers(1, 3),
+        window=st.floats(1.0, 100.0),
+        block_duration=st.floats(1.0, 100.0),
+    ),
+    events=st.lists(st.tuples(st.floats(0.0, 30.0), st.integers(0, 400)), min_size=1, max_size=300),
+)
+def test_sin_bin_keeps_only_recent_hosts(config, events):
+    sinbin = SinBin(config)
+    reference = ReferenceSinBin(config)
+    now = 0.0
+    for gap, host_id in events:
+        now += gap
+        host = f"h{host_id}"
+        assert sinbin.blocked_until(host, now) == reference.blocked_until(host, now)
+        sinbin.record_refusal(host, now)
+        reference.record_refusal(host, now)
+    # forgetting idle hosts never changes an answer ...
+    for host in reference.rings:
+        assert sinbin.blocked_until(host, now) == reference.blocked_until(host, now)
+    # ... and only hosts that refused within the window or are still blocked remain
+    assert all(ring and ring[-1] > now - config.window for ring in sinbin._refusals.values())
+    assert all(until > now for until in sinbin._blocked_until.values())
 
 
 def test_graduated_buckets_map_score_to_difficulty():

@@ -2,12 +2,14 @@
 import hashlib
 import math
 import random
+import sys
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FixedEntropy
 from spamfriction import puzzle as pow
 
 # frozen solver fixtures: first satisfying counter scanning from zero,
@@ -58,6 +60,7 @@ def test_receipt_wire_round_trip_is_identity():
         "0:21:8927349827349١",  # non-ASCII digit
         "1000001:21:892734982734987",
         "0:21:" + "9" * 65,          # nonce too long
+        pytest.param("9" * 5000 + ":21:1", id="more-digits-than-int-converts"),
     ],
 )
 def test_malformed_puzzle_wire_rejected(wire):
@@ -264,6 +267,33 @@ def test_store_capacity_and_expired_eviction():
     assert "2" in store and "3" in store
 
 
+def test_full_store_evicts_the_entry_that_expires_first():
+    store = pow.IssuedPuzzleStore(capacity=2)
+    make_issued(store, nonce="1", now=0.0, ttl=100.0)
+    make_issued(store, nonce="2", now=0.0, ttl=10.0)
+    # "2" was inserted last but expired first
+    make_issued(store, nonce="3", now=50.0, ttl=100.0)
+    assert "2" not in store
+    assert "1" in store and "3" in store
+    # "1" and "3" are both live until 100.0: nothing to evict
+    with pytest.raises(pow.StoreFullError):
+        make_issued(store, nonce="4", now=60.0, ttl=100.0)
+    make_issued(store, nonce="4", now=100.0, ttl=100.0)
+    assert "1" not in store and "3" in store
+
+
+def test_evicted_consumed_nonce_is_unknown():
+    store = pow.IssuedPuzzleStore(capacity=1)
+    p = make_issued(store, difficulty=8, ttl=10.0)
+    receipt = pow.solve(p)
+    assert store.verify_and_consume(receipt, now=1.0) is pow.VerifyOutcome.ACCEPTED
+    make_issued(store, nonce="2", now=20.0)
+    assert store.verify_and_consume(receipt, now=20.0) is pow.VerifyOutcome.UNKNOWN_NONCE
+    # re-issuing the evicted nonce starts it unconsumed
+    make_issued(store, difficulty=8, now=200.0, ttl=10.0)
+    assert store.verify_and_consume(receipt, now=201.0) is pow.VerifyOutcome.ACCEPTED
+
+
 def test_store_duplicate_nonce_rejected():
     store = pow.IssuedPuzzleStore()
     make_issued(store, nonce="5")
@@ -302,6 +332,45 @@ def test_generate_challenge_registers_and_solves():
     assert p.expires_at == 60.0
     receipt = pow.solve(p)
     assert store.verify_and_consume(receipt, now=1.0) is pow.VerifyOutcome.ACCEPTED
+
+
+def test_generate_challenge_skips_a_live_nonce():
+    store = pow.IssuedPuzzleStore()
+    live = make_issued(store, nonce=str(10**17 + 1))
+    entropy = FixedEntropy(10**17 + 1, 10**17 + 2)
+    p = pow.generate_challenge(store, difficulty=8, entropy=entropy, now=0.0)
+    assert p.nonce == str(10**17 + 2)
+    assert entropy.values == []
+    assert len(store) == 2 and live.nonce in store and p.nonce in store
+
+
+def test_generate_challenge_concurrent_issue_never_collides():
+    # draws from a small pool, so threads often pick the same nonce at once
+    store = pow.IssuedPuzzleStore(capacity=10_000)
+    per_thread, threads, errors, issued = 150, 6, [], []
+    old_interval = sys.getswitchinterval()
+
+    def worker(seed):
+        entropy = random.Random(seed)
+        draws = FixedEntropy(*(10**17 + entropy.randrange(3 * per_thread * threads) for _ in range(10**4)))
+        try:
+            for _ in range(per_thread):
+                issued.append(pow.generate_challenge(store, difficulty=0, entropy=draws, now=0.0).nonce)
+        except Exception as exc:  # noqa: BLE001 - any escape is the failure under test
+            errors.append(exc)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(seed,)) for seed in range(threads)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert errors == []
+    assert len(issued) == len(set(issued)) == len(store) == per_thread * threads
 
 
 def test_generate_challenge_nonces_unpredictable_width():

@@ -9,12 +9,14 @@ import pytest
 from conftest import (
     HAM_BODY,
     SPAM_BODY,
+    FixedEntropy,
     build_core,
     negotiate,
     send_envelope,
     submit_body,
 )
 from spamfriction import puzzle as pow
+from spamfriction import smtp
 from spamfriction.clock import SystemClock, VirtualClock
 from spamfriction.policy import PolicyConfig, SinBinConfig
 from spamfriction.smtp import (
@@ -30,20 +32,11 @@ from spamfriction.smtp import (
     parse_alg_list,
     read_reply,
     send_message,
+    serve_connection,
     start_server,
 )
 
 MESSAGE_ID_RE = re.compile(r"^[A-Za-z0-9]{6}-[0-9]{6}-[A-Za-z0-9]{2}$")
-
-
-class FixedEntropy:
-    """Entropy stub handing out a predetermined nonce sequence."""
-
-    def __init__(self, *values):
-        self.values = list(values)
-
-    def randrange(self, lo, hi):
-        return self.values.pop(0)
 
 
 def make_session(core, host="10.1.2.3"):
@@ -595,6 +588,112 @@ def test_awaiting_receipt_also_counts_as_burdened():
     assert core.traffic.burdened_count("10.7.7.7") == 0
 
 
+# -- every exit from a burdened state releases it -------------------------------
+
+
+def _bad_receipt(session):
+    bad = "1" if not pow.verify_hash(session.puzzle, "1") else "2"
+    return f"POW RECEIPT {session.puzzle.wire}:{bad}"
+
+
+def _forged_receipt(session):
+    return f"POW RECEIPT {pow.solve(pow.Puzzle(0, session.puzzle.difficulty, '42')).wire}"
+
+
+def _delayed_session(core):
+    session = legacy_session(core, host="10.1.2.3")
+    send_envelope(session)
+    submit_body(session, HAM_BODY)
+    return session
+
+
+BURDENED_STARTS = {
+    "awaiting-receipt": lambda core: setup_awaiting(core)[0],
+    "delayed": _delayed_session,
+}
+
+# exit -> (how the session leaves, first reply code it gets)
+BURDENED_EXITS = {
+    "quit": (lambda s: s.handle_line("QUIT", 0.0), "221"),
+    "rset": (lambda s: s.handle_line("RSET", 0.0), "250"),
+    "ehlo": (lambda s: s.handle_line("EHLO x.example", 0.0), "250"),
+    "helo": (lambda s: s.handle_line("HELO x.example", 0.0), "250"),
+    "eof": (lambda s: s.on_disconnect(0.0), None),
+    "554": (lambda s: s.handle_line(_forged_receipt(s), 0.0), "554"),
+    "452-reissue": (lambda s: s.handle_line(_bad_receipt(s), 0.0), "452"),
+    "accepted": (lambda s: s.handle_line(f"POW RECEIPT {pow.solve(s.puzzle).wire}", 0.0), "250"),
+    "legacy-release": (lambda s: s.poll(30.0), "250"),
+}
+
+
+@pytest.mark.parametrize(
+    "start, exit_name",
+    [
+        *(("awaiting-receipt", name) for name in
+          ("quit", "rset", "ehlo", "helo", "eof", "554", "452-reissue", "accepted")),
+        *(("delayed", name) for name in ("quit", "eof", "legacy-release")),
+    ],
+)
+def test_every_exit_releases_the_burdened_host(start, exit_name):
+    core = build_core(legacy=LegacyPolicy(pre_accept_delay=30.0))
+    core.store = pow.IssuedPuzzleStore(1)  # full once the session's own puzzle is out
+    session = BURDENED_STARTS[start](core)
+    assert core.traffic.burdened_count("10.1.2.3") == 1
+    leave, code = BURDENED_EXITS[exit_name]
+    replies = leave(session)
+    if code is not None:
+        assert replies[0][:3] == code
+    assert core.traffic.burdened_count("10.1.2.3") == 0
+    assert session.puzzle is None
+    assert session._pending is None and session._withheld is None
+
+
+class FaultyClock(VirtualClock):
+    """A clock whose sleep fails: a server fault while a reply is withheld."""
+
+    def sleep(self, seconds):
+        raise RuntimeError("injected fault")
+
+
+@pytest.mark.parametrize("start", ["awaiting-receipt", "delayed"])
+def test_server_fault_releases_the_session_without_a_refusal(monkeypatch, start):
+    core = build_core(
+        clock=FaultyClock(),
+        legacy=LegacyPolicy(pre_accept_delay=30.0),
+        sinbin=SinBinConfig(max_refusals=1),
+    )
+    core.entropy = FixedEntropy(int(GOLDEN_NONCE))
+
+    def broken(receipt, now):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(core.store, "verify_and_consume", broken)
+    sessions = []
+
+    class RecordingSession(ServerSession):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sessions.append(self)
+
+    monkeypatch.setattr(smtp, "ServerSession", RecordingSession)
+    hello = ["EHLO a.example", "POW ISUPPORT ALG0"] if start == "awaiting-receipt" else ["EHLO a.example"]
+    lines = [*hello, "MAIL FROM: a@b", "RCPT TO: c@d", "DATA", *SPAM_BODY, "."]
+    if start == "awaiting-receipt":
+        lines.append(f"POW RECEIPT 0:8:{GOLDEN_NONCE}:1")
+    server_end, client_end = socket.socketpair()
+    with client_end:
+        client_end.sendall("".join(line + "\r\n" for line in lines).encode())
+        client_end.shutdown(socket.SHUT_WR)
+        serve_connection(core, server_end, "10.1.2.3")
+    (session,) = sessions
+    assert session.state is SessionState.DONE
+    assert core.traffic.burdened_count("10.1.2.3") == 0
+    assert session.puzzle is None
+    assert session._pending is None and session._withheld is None
+    assert core.sinbin.blocked_until("10.1.2.3", 0.0) is None
+    assert not core.sink.messages
+
+
 # -- mailbox sink -----------------------------------------------------------------
 
 
@@ -759,7 +858,7 @@ def test_second_connection_refused_while_host_delayed():
 
 
 def test_session_fault_counts_as_disconnect(monkeypatch):
-    core = build_core(clock=SystemClock())
+    core = build_core(clock=SystemClock(), sinbin=SinBinConfig(max_refusals=1))
 
     def broken(self, arg, now):
         raise RuntimeError("injected fault")
@@ -781,6 +880,8 @@ def test_session_fault_counts_as_disconnect(monkeypatch):
         # the server drops the link only after releasing the session's state
         assert rfile.readline() == b""
         assert core.traffic.burdened_count("127.0.0.1") == 0
+        # the fault is the server's: no refusal is held against the host
+        assert core.sinbin.blocked_until("127.0.0.1", time.time()) is None
         rfile.close()
         conn.close()
     finally:
