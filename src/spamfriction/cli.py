@@ -90,9 +90,11 @@ def _build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="run the economics simulator")
     p_sim.add_argument("--preset", choices=sim.PRESET_NAMES,
                        help="named scenario (default paper-999 unless --cohort given)")
-    p_sim.add_argument("--fp", type=float, help="filter false-positive rate")
-    p_sim.add_argument("--fn", type=float, help="filter false-negative rate")
-    p_sim.add_argument("--burden", type=float, help="cost of a resisted message in seconds")
+    # each scenario flag's dest is the SimConfig field it overrides
+    p_sim.add_argument("--fp", type=float, dest="false_positive_rate", metavar="FP", help="filter false-positive rate")
+    p_sim.add_argument("--fn", type=float, dest="false_negative_rate", metavar="FN", help="filter false-negative rate")
+    p_sim.add_argument("--burden", type=float, dest="burden_seconds", metavar="BURDEN",
+                       help="cost of a resisted message in seconds")
     p_sim.add_argument("--days", type=int, help="days to simulate")
     p_sim.add_argument("--seed", type=int, help="random seed")
     p_sim.add_argument("--day-seconds", type=float, help="per-machine daily budget")
@@ -268,36 +270,16 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     return values
 
 
+_SIM_FLAGS = ("false_positive_rate", "false_negative_rate", "burden_seconds", "days", "seed", "day_seconds")
+
+
 def _cmd_simulate(args) -> int:
     try:
-        if args.cohort:
-            cohorts = tuple(_parse_cohort(c) for c in args.cohort)
-            base = sim.SimConfig(
-                false_positive_rate=args.fp if args.fp is not None else 0.001,
-                false_negative_rate=args.fn if args.fn is not None else 0.001,
-                burden_seconds=args.burden if args.burden is not None else 3600.0,
-                cohorts=cohorts,
-                days=args.days if args.days is not None else 1,
-                day_seconds=args.day_seconds if args.day_seconds is not None else sim.DAY_SECONDS,
-                seed=args.seed if args.seed is not None else 0,
-            )
-        else:
-            base = sim.preset(args.preset or "paper-999")
-            overrides = {}
-            if args.fp is not None:
-                overrides["false_positive_rate"] = args.fp
-            if args.fn is not None:
-                overrides["false_negative_rate"] = args.fn
-            if args.burden is not None:
-                overrides["burden_seconds"] = args.burden
-            if args.days is not None:
-                overrides["days"] = args.days
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if args.day_seconds is not None:
-                overrides["day_seconds"] = args.day_seconds
-            if overrides:
-                base = replace(base, **overrides)
+        # cohort mode is paper-999 with the given cohorts and seed 0
+        base = sim.preset("paper-999" if args.cohort else args.preset or "paper-999")
+        overrides = {"cohorts": tuple(_parse_cohort(c) for c in args.cohort), "seed": 0} if args.cohort else {}
+        overrides.update((name, getattr(args, name)) for name in _SIM_FLAGS if getattr(args, name) is not None)
+        base = replace(base, **overrides)
         if bool(args.sweep_accuracies) != bool(args.sweep_burdens):
             raise ValueError("--sweep-accuracies and --sweep-burdens go together")
         if args.sweep_accuracies:

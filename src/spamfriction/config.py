@@ -78,18 +78,24 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {names}")
 
 
-def _scalar(convert):
-    return lambda value, where: convert(value), lambda value: value
+def _exact(*kinds):
+    """Decoder of a YAML scalar that must already be one of ``kinds``, as the
+    first of them: ``'no'`` is not a bool, ``null`` is not a string, ``20.9``
+    is not an int, and a bool is not a number."""
+    kind = kinds[0]
 
-
-def _exact(kind):
-    """A YAML scalar that must already be a ``kind``: ``'no'`` is not a bool,
-    and ``null`` is not a string."""
     def decode(value, where: str):
-        if not isinstance(value, kind):
-            raise ConfigError(f"{where} must be a {kind.__name__}, got {value!r}")
-        return value
-    return decode, lambda value: value
+        if not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool):
+            raise ConfigError(f"{where} must be a YAML {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+        try:
+            return kind(value)
+        except OverflowError:
+            raise ConfigError(f"{where} is out of range") from None
+    return decode
+
+
+_INT = _exact(int)
+_FLOAT = _exact(float, int)
 
 
 def _optional(codec):
@@ -111,26 +117,30 @@ def _decode_buckets(value, where: str) -> list[tuple[float, int]]:
     for entry in _require_list(value, where, "[bound, difficulty] pairs"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ConfigError(f"{where} entries must be [bound, difficulty] pairs")
-        pairs.append((float(entry[0]), int(entry[1])))
+        pairs.append((_FLOAT(entry[0], where), _INT(entry[1], where)))
     return pairs
 
 
 def _decode_weights(value, where: str) -> dict[str, float]:
-    return {str(k): float(v) for k, v in _require_mapping(value, where).items()}
+    return {str(k): _FLOAT(v, f"{where}.{k}") for k, v in _require_mapping(value, where).items()}
+
+
+def _same(value):
+    return value
 
 
 _ENDPOINT = (lambda value, where: parse_endpoint(str(value)), format_endpoint)
 
 # per field type: (decode(YAML value, where) -> field value, encode(field value) -> YAML value)
 _CODECS = {
-    int: _scalar(int),
-    float: _scalar(float),
-    str: _exact(str),
-    bool: _exact(bool),
-    float | None: _optional(_scalar(float)),
+    int: (_INT, _same),
+    float: (_FLOAT, _same),
+    str: (_exact(str), _same),
+    bool: (_exact(bool), _same),
+    float | None: _optional((_FLOAT, _same)),
     tuple[str, int]: _ENDPOINT,
     tuple[str, int] | None: _optional(_ENDPOINT),
-    tuple[int, ...]: (lambda value, where: tuple(map(int, _require_list(value, where, "integers"))), list),
+    tuple[int, ...]: (lambda value, where: tuple(_INT(v, where) for v in _require_list(value, where, "integers")), list),
     frozenset[str]: (lambda value, where: frozenset(map(str, _require_list(value, where, "patterns"))), sorted),
     dict[str, float]: (_decode_weights, lambda weights: dict(sorted(weights.items()))),
     list[tuple[float, int]]: (_decode_buckets, lambda buckets: [list(b) for b in buckets]),
@@ -192,7 +202,8 @@ def load_config(path: str | None) -> AppConfig:
             data = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # PyYAML raises a bare ValueError for an int of more than 4,300 digits
         raise ConfigError(f"bad YAML in {path}: {exc}") from exc
     return build_app_config(data if data is not None else {})
 

@@ -9,9 +9,12 @@ out of the machine's daily budget, an accepted one is free.
 Time is purely virtual.  Instead of stepping message by message, cohorts
 are settled with the matching closed forms: the number of free messages
 interleaved between ``r`` paid ones is negative-binomial ``NB(r, p)``, and
-the resisted count within a fixed quota is binomial.  That keeps a
-10,000-bot day at a handful of numpy draws while remaining an exact sample
-from the message-level process.
+the resisted count ``k`` within a fixed quota is binomial.  A quota machine
+whose day holds only ``paid < k`` solves is refused at resist ``paid + 1``;
+the free messages before it are negative-hypergeometric given ``k``, i.e.
+``Binomial(quota - k, Beta(paid + 1, k - paid))``.  That keeps a 10,000-bot
+day at a handful of numpy draws while remaining an exact sample from the
+message-level process.
 """
 from __future__ import annotations
 
@@ -78,11 +81,11 @@ class SimConfig:
             raise ValueError("false_positive_rate must be in [0, 1)")
         if not 0.0 <= self.false_negative_rate < 1.0:
             raise ValueError("false_negative_rate must be in [0, 1)")
-        if self.burden_seconds < 0:
+        if not self.burden_seconds >= 0:  # NaN too
             raise ValueError("burden_seconds must be non-negative")
         if self.days < 1:
             raise ValueError("days must be at least 1")
-        if self.day_seconds <= 0:
+        if not self.day_seconds > 0:
             raise ValueError("day_seconds must be positive")
         if not self.cohorts:
             raise ValueError("at least one cohort is required")
@@ -258,23 +261,15 @@ def _run_bounded(spec, config, p, cost, rng) -> CohortResult:
         result.resisted = resisted
         result.work_seconds = resisted * cost
         return result
+    paid = int(config.day_seconds // cost)
     per_machine = rng.binomial(quota, p, size=machine_days)
-    fits = per_machine * cost <= config.day_seconds
-    result.delivered = int(fits.sum()) * quota
-    result.resisted = int(per_machine[fits].sum())
+    fits = per_machine <= paid
+    over = per_machine[~fits]
+    free = rng.binomial(quota - over, rng.beta(paid + 1, over - paid))
+    result.delivered = int(fits.sum()) * quota + len(over) * paid + int(free.sum())
+    result.resisted = int(per_machine[fits].sum()) + len(over) * paid
+    result.refused = len(over)
     result.work_seconds = float(result.resisted) * cost
-    # machines that drew too many resists walk their day message by message
-    for _ in range(int((~fits).sum())):
-        budget = config.day_seconds
-        for _msg in range(quota):
-            if rng.random() < p:
-                if cost > budget:
-                    result.refused += 1
-                    break
-                budget -= cost
-                result.resisted += 1
-                result.work_seconds += cost
-            result.delivered += 1
     return result
 
 
@@ -360,27 +355,20 @@ _PRESET_COHORTS = (
     CohortSpec(name="botnet", kind=KIND_SPAM, machines=10_000, quota=None),
 )
 
-_PRESET_SEEDS = {"paper-999": 3, "paper-20": 5}
+# name -> (false-positive and false-negative rate, seed)
+_PRESETS = {"paper-999": (0.001, 3), "paper-20": (0.05, 5)}
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> SimConfig:
-    if name == "paper-999":
-        return SimConfig(
-            false_positive_rate=0.001,
-            false_negative_rate=0.001,
-            burden_seconds=3600.0,
-            cohorts=_PRESET_COHORTS,
-            seed=_PRESET_SEEDS[name],
-        )
-    if name == "paper-20":
-        return SimConfig(
-            false_positive_rate=0.05,
-            false_negative_rate=0.05,
-            burden_seconds=3600.0,
-            cohorts=_PRESET_COHORTS,
-            seed=_PRESET_SEEDS[name],
-        )
-    raise KeyError(f"unknown preset: {name!r}")
-
-
-PRESET_NAMES = ("paper-999", "paper-20")
+    if name not in _PRESETS:
+        raise KeyError(f"unknown preset: {name!r}")
+    rate, seed = _PRESETS[name]
+    return SimConfig(
+        false_positive_rate=rate,
+        false_negative_rate=rate,
+        burden_seconds=3600.0,
+        cohorts=_PRESET_COHORTS,
+        seed=seed,
+    )

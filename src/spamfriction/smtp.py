@@ -37,6 +37,9 @@ logger = logging.getLogger("spamfriction.server")
 
 GREETING = "250 ESMTP Server Ready"
 CRLF = "\r\n"
+# longest line read from the wire, CRLF included; the rest of a longer line
+# is discarded, and the session refuses what it was handed of it
+MAX_LINE_BYTES = 65536
 
 # algorithms this implementation can actually mint and verify locally;
 # the advertised list may be wider for negotiation purposes
@@ -161,7 +164,7 @@ class MailboxSink:
         import os
 
         stamp = time.asctime(time.gmtime(when))
-        header = f"From {mail_from} {stamp}\nX-SpamFriction-Id: {message_id}\n".encode("ascii")
+        header = f"From {mail_from} {stamp}\nX-SpamFriction-Id: {message_id}\n".encode("latin-1")
         with self._lock:
             for rcpt in recipients:
                 path = os.path.join(self.directory, self._mailbox_name(rcpt))
@@ -260,7 +263,7 @@ class ServerSession:
         self.recipients: list[str] = []
         self._body_lines: list[bytes] = []
         self._body_size = 0
-        self._oversized = False
+        self._data_error: str | None = None
         self.puzzle: pow.Puzzle | None = None
         self._reissued = False
         self._pending: _PendingMessage | None = None
@@ -405,9 +408,6 @@ class ServerSession:
         if self.state is not SessionState.RCPT_TO:
             return ["503 Bad sequence of commands"]
         self.state = SessionState.DATA
-        self._body_lines = []
-        self._body_size = 0
-        self._oversized = False
         return ['354 Enter message, ending with "." on a line by itself']
 
     def _handle_rset(self, rest: str, now: float) -> list[str]:
@@ -437,22 +437,30 @@ class ServerSession:
     def _handle_data_line(self, line: str, now: float) -> list[str]:
         if line == ".":
             return self._finish_data(now)
+        if self._data_error is not None:
+            return []
+        too_long = len(line) > MAX_LINE_BYTES - 2
         if line.startswith("."):
             line = line[1:]  # transparency: un-stuff the leading dot
         self._body_size += len(line) + 2
-        if self._body_size > self.core.config.max_message_bytes:
-            self._oversized = True
-            self._body_lines = []
+        if too_long:
+            self._data_error = "500 Line too long"
+        elif self._body_size > self.core.config.max_message_bytes:
+            self._data_error = "552 Message size exceeds fixed maximum message size"
         else:
             self._body_lines.append(line.encode("latin-1"))
+            return []
+        self._body_lines = []
         return []
 
     def _finish_data(self, now: float) -> list[str]:
         core = self.core
-        if self._oversized:
+        if self._data_error is not None:
+            error = self._data_error
             self._end_transaction(SessionState.READY, now)
-            return ["552 Message size exceeds fixed maximum message size"]
+            return [error]
         body = b"\r\n".join(self._body_lines)
+        self._body_lines = []
         score = core.scorer.score(body)
         decision = decide(
             score,
@@ -610,7 +618,7 @@ class ServerSession:
         self.recipients = []
         self._body_lines = []
         self._body_size = 0
-        self._oversized = False
+        self._data_error = None
         self.state = state
 
     _COMMANDS = {
@@ -648,10 +656,14 @@ def serve_connection(core: MailServerCore, conn: socket.socket, peer_host: str) 
     try:
         send(session.greet())
         while session.state is not SessionState.DONE:
-            raw = rfile.readline(65536)
+            raw = rfile.readline(MAX_LINE_BYTES)
             if not raw:
                 session.on_disconnect(core.clock.now())
                 break
+            if len(raw) == MAX_LINE_BYTES and not raw.endswith(b"\n"):
+                # over-long: drop the rest, which is no line of its own
+                while (rest := rfile.readline(MAX_LINE_BYTES)) and not rest.endswith(b"\n"):
+                    pass
             line = raw.rstrip(b"\r\n").decode("latin-1")
             send(session.handle_line(line, core.clock.now()))
             while session.state is SessionState.DELAYED:
@@ -661,12 +673,16 @@ def serve_connection(core: MailServerCore, conn: socket.socket, peer_host: str) 
                 if wait > 0:
                     core.clock.sleep(wait)
                 send(session.poll(core.clock.now()))
-    except (OSError, ValueError):
+    except OSError:
         session.on_disconnect(core.clock.now())
     except Exception:
-        # a server fault must still release the host's burdened slot, and is
-        # not the sender's refusal
+        # a server fault still ends in a reply, must release the host's
+        # burdened slot, and is not the sender's refusal
         logger.exception("session with %s failed", peer_host)
+        try:
+            send(["451 Requested action aborted: local error in processing"])
+        except OSError:
+            pass
         session._end_transaction(SessionState.DONE, core.clock.now())
     finally:
         rfile.close()
@@ -748,7 +764,7 @@ def read_reply(rfile) -> tuple[int, list[str]]:
     """Read one (possibly multiline) SMTP reply; returns (code, text lines)."""
     lines: list[str] = []
     while True:
-        raw = rfile.readline(65536)
+        raw = rfile.readline(MAX_LINE_BYTES)
         if not raw:
             raise ConnectionError("server closed the connection mid-reply")
         text = raw.rstrip(b"\r\n").decode("latin-1")

@@ -305,6 +305,18 @@ def test_config_errors_exit_78(tmp_path, capsys):
         # a bool takes only a YAML boolean, a string only a YAML string
         ("server:\n  advertise_auth: 'no'\n", "server.advertise_auth"),
         ("server:\n  hostname: null\n", "server.hostname"),
+        # an int takes only a YAML int, a float only a YAML int or float,
+        # and a bool is neither; list entries, bucket pairs and token
+        # weights follow the same rules
+        ("policy:\n  base_difficulty: 20.9\n", "policy.base_difficulty"),
+        ("policy:\n  sinbin:\n    max_refusals: true\n", "policy.sinbin.max_refusals"),
+        ("server:\n  puzzle_ttl: '60'\n", "server.puzzle_ttl"),
+        ("server:\n  pow_algorithms: ['1', true]\n", "server.pow_algorithms"),
+        ("server:\n  pow_algorithms: [1, true]\n", "server.pow_algorithms"),
+        ("policy:\n  graduated_buckets: [[0.5, 12.5]]\n", "policy.graduated_buckets"),
+        ("scorer:\n  token_weights:\n    spam: false\n", "scorer.token_weights.spam"),
+        ("server:\n  puzzle_ttl: 1" + "0" * 400 + "\n", "server.puzzle_ttl"),
+        ("policy:\n  base_difficulty: 1" + "0" * 5000 + "\n", "bad YAML"),
     ):
         path.write_text(body)
         assert cli.main(["serve", "--config", str(path), "--dump-effective-config"]) == 78

@@ -2,6 +2,7 @@
 import io
 import re
 import socket
+import threading
 import time
 
 import pytest
@@ -19,10 +20,12 @@ from spamfriction import puzzle as pow
 from spamfriction import smtp
 from spamfriction.clock import SystemClock, VirtualClock
 from spamfriction.policy import PolicyConfig, SinBinConfig
+from spamfriction.scoring import Scorer, ScorerConfig
 from spamfriction.smtp import (
     ClientConfig,
     LegacyPolicy,
     MailboxSink,
+    MAX_LINE_BYTES,
     MailServerCore,
     Message,
     SendStatus,
@@ -517,6 +520,17 @@ def test_quit_during_delay_abandons_message():
     assert not core.sink.messages
 
 
+def test_parked_session_holds_its_body_once():
+    core = build_core(legacy=LegacyPolicy(pre_accept_delay=30.0))
+    session = legacy_session(core)
+    send_envelope(session)
+    lines = [f"line {i} meeting friend " + "x" * 1000 for i in range(100)]
+    assert submit_body(session, lines) == []
+    assert session.state is SessionState.DELAYED
+    assert session._body_lines == []
+    assert session._pending.body == "\r\n".join(lines).encode()
+
+
 def test_other_commands_during_delay_deferred():
     clock = VirtualClock()
     core = build_core(clock=clock, legacy=LegacyPolicy(pre_accept_delay=30.0))
@@ -691,6 +705,67 @@ def test_server_fault_releases_the_session_without_a_refusal(monkeypatch, start)
     assert session.puzzle is None
     assert session._pending is None and session._withheld is None
     assert core.sinbin.blocked_until("10.1.2.3", 0.0) is None
+    assert not core.sink.messages
+
+
+# -- the socket transport -----------------------------------------------------------
+
+
+def converse(core, data: bytes, host="10.1.2.3") -> list[bytes]:
+    """Run ``data`` through ``serve_connection``; return the reply lines."""
+    server_end, client_end = socket.socketpair()
+    with client_end:
+        worker = threading.Thread(target=serve_connection, args=(core, server_end, host))
+        worker.start()
+        client_end.sendall(data)
+        client_end.shutdown(socket.SHUT_WR)
+        with client_end.makefile("rb") as rfile:
+            replies = rfile.readlines()
+        worker.join(10)
+    assert not worker.is_alive()
+    return replies
+
+
+def pow_transaction(mail_from="alice@example.org") -> list[str]:
+    return ["EHLO a.example", "POW ISUPPORT ALG0", f"MAIL FROM: {mail_from}", "RCPT TO: bob@example.net", "DATA"]
+
+
+def wire(lines) -> bytes:
+    return "".join(line + "\r\n" for line in lines).encode("latin-1")
+
+
+def test_overlong_command_line_gets_one_reply():
+    core = build_core()
+    replies = converse(core, b"A" * MAX_LINE_BYTES + b"NOOP\r\nNOOP\r\nQUIT\r\n")
+    assert replies[1:] == [b"500 Line too long\r\n", b"250 OK\r\n", b"221 receiving-mail.com closing connection\r\n"]
+
+
+def test_overlong_body_line_refuses_the_message():
+    core = build_core()
+    long_line = "meeting friend " + "a" * 70_000
+    replies = converse(core, wire([*pow_transaction(), *HAM_BODY, long_line, "lunch", ".", "NOOP", "QUIT"]))
+    assert replies[-3:] == [b"500 Line too long\r\n", b"250 OK\r\n", b"221 receiving-mail.com closing connection\r\n"]
+    assert not core.sink.messages
+    # a line of exactly the cap is a body line like any other
+    longest = "meeting friend ".ljust(MAX_LINE_BYTES - 2, "a")
+    replies = converse(core, wire([*pow_transaction(), longest, ".", "QUIT"]))
+    assert replies[-2].startswith(b"250 OK id=")
+    assert core.sink.messages[0]["body"] == longest.encode()
+
+
+def test_non_ascii_sender_is_delivered_to_the_mailbox(tmp_path):
+    core = build_core()
+    core.sink = MailboxSink(tmp_path)
+    replies = converse(core, wire([*pow_transaction("jos\xe9@example.org"), *HAM_BODY, ".", "QUIT"]))
+    assert replies[-2].startswith(b"250 OK id=")
+    assert (tmp_path / "bob@example.net.mbox").read_bytes().startswith(b"From jos\xe9@example.org ")
+
+
+def test_scorer_fault_gets_a_451():
+    core = build_core()
+    core.scorer = Scorer(ScorerConfig(max_body_bytes=10))
+    replies = converse(core, wire([*pow_transaction(), *HAM_BODY, "."]))
+    assert replies[-1] == b"451 Requested action aborted: local error in processing\r\n"
     assert not core.sink.messages
 
 
@@ -877,7 +952,9 @@ def test_session_fault_counts_as_disconnect(monkeypatch):
         assert code == 211
         assert core.traffic.burdened_count("127.0.0.1") == 1
         conn.sendall(f"POW RECEIPT {lines[-1].rsplit(' ', 1)[-1]}:1\r\n".encode())
-        # the server drops the link only after releasing the session's state
+        # the fault still gets a reply, and the server drops the link only
+        # after releasing the session's state
+        assert rfile.readline() == b"451 Requested action aborted: local error in processing\r\n"
         assert rfile.readline() == b""
         assert core.traffic.burdened_count("127.0.0.1") == 0
         # the fault is the server's: no refusal is held against the host

@@ -45,6 +45,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         one_cohort_config(burden=-1.0)
     with pytest.raises(ValueError):
+        one_cohort_config(burden=math.nan, quota=10)
+    with pytest.raises(ValueError):
+        one_cohort_config(day_seconds=math.nan)
+    with pytest.raises(ValueError):
         one_cohort_config(days=0)
     with pytest.raises(ValueError):
         sim.CohortSpec(name="x", kind="other", machines=1)
@@ -168,6 +172,42 @@ def test_closed_form_matches_message_level_oracle():
     assert abs(brute_delivered / machine_days - expected) < 5 * se
     assert closed.work_seconds == pytest.approx(machine_days * 100.0)
     assert brute_work == pytest.approx(machine_days * 100.0)
+
+
+def test_bounded_closed_form_matches_message_level_oracle():
+    # quota 10, p 1/2, three 30 s solves fit a 100 s day; the exact law of a
+    # machine-day comes from walking all 2**10 equally likely resist patterns
+    quota, cost, day_seconds = 10, 30.0, 100.0
+    outcomes = []
+    for pattern in range(2**quota):
+        budget, delivered, refused = day_seconds, 0, 0
+        for i in range(quota):
+            if pattern >> i & 1:
+                if cost > budget:
+                    refused = 1
+                    break
+                budget -= cost
+            delivered += 1
+        outcomes.append((delivered, refused))
+    refused_share = sum(r for _, r in outcomes) / len(outcomes)
+    mean_delivered = sum(d for d, _ in outcomes) / len(outcomes)
+    var_delivered = sum((d - mean_delivered) ** 2 for d, _ in outcomes) / len(outcomes)
+    assert refused_share == pytest.approx(0.828125)  # P(Binomial(10, 1/2) > 3)
+    assert mean_delivered == pytest.approx(6.6953125)
+
+    machine_days = 4000
+    closed = sim.run(
+        one_cohort_config(
+            kind="ham", machines=machine_days, quota=quota, fp=0.5,
+            burden=cost, day_seconds=day_seconds, seed=5,
+        )
+    ).cohorts[0]
+    refused_se = math.sqrt(refused_share * (1 - refused_share) / machine_days)
+    assert abs(closed.refused / machine_days - refused_share) < 5 * refused_se
+    delivered_se = math.sqrt(var_delivered / machine_days)
+    assert abs(closed.delivered / machine_days - mean_delivered) < 5 * delivered_se
+    assert closed.attempted == quota * machine_days
+    assert closed.work_seconds == pytest.approx(closed.resisted * cost)
 
 
 def test_report_aggregates_and_ratio():
