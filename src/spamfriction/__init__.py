@@ -29,10 +29,9 @@ from .puzzle import (
     parse_puzzle,
     parse_receipt,
     solve,
-    verify,
     verify_hash,
 )
-from .scoring import Scorer, ScorerConfig, SpamScore, score
+from .scoring import Scorer, ScorerConfig, SpamScore
 from .sim import CohortSpec, SimConfig, SimReport, preset, run, sweep
 from .smtp import (
     ClientConfig,
@@ -86,11 +85,9 @@ __all__ = [
     "parse_receipt",
     "preset",
     "run",
-    "score",
     "solve",
     "send_message",
     "sweep",
-    "verify",
     "verify_hash",
     "__version__",
 ]

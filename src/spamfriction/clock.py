@@ -6,18 +6,14 @@ import time
 
 
 class SystemClock:
-    """Wall clock backed by time.time / time.sleep."""
+    """Wall clock backed by time.time."""
 
     def now(self) -> float:
         return time.time()
 
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            time.sleep(seconds)
-
 
 class VirtualClock:
-    """Deterministic clock for tests and simulation: sleep() advances time instantly."""
+    """Deterministic clock for tests and simulation: time moves only by advance()."""
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
@@ -26,9 +22,6 @@ class VirtualClock:
     def now(self) -> float:
         with self._lock:
             return self._now
-
-    def sleep(self, seconds: float) -> None:
-        self.advance(seconds)
 
     def advance(self, seconds: float) -> float:
         if seconds < 0:

@@ -96,6 +96,7 @@ def _exact(*kinds):
 
 _INT = _exact(int)
 _FLOAT = _exact(float, int)
+_STR = _exact(str)
 
 
 def _optional(codec):
@@ -135,13 +136,13 @@ _ENDPOINT = (lambda value, where: parse_endpoint(str(value)), format_endpoint)
 _CODECS = {
     int: (_INT, _same),
     float: (_FLOAT, _same),
-    str: (_exact(str), _same),
+    str: (_STR, _same),
     bool: (_exact(bool), _same),
     float | None: _optional((_FLOAT, _same)),
     tuple[str, int]: _ENDPOINT,
     tuple[str, int] | None: _optional(_ENDPOINT),
     tuple[int, ...]: (lambda value, where: tuple(_INT(v, where) for v in _require_list(value, where, "integers")), list),
-    frozenset[str]: (lambda value, where: frozenset(map(str, _require_list(value, where, "patterns"))), sorted),
+    frozenset[str]: (lambda value, where: frozenset(_STR(v, where) for v in _require_list(value, where, "patterns")), sorted),
     dict[str, float]: (_decode_weights, lambda weights: dict(sorted(weights.items()))),
     list[tuple[float, int]]: (_decode_buckets, lambda buckets: [list(b) for b in buckets]),
 }

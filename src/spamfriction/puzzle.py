@@ -304,10 +304,6 @@ class IssuedPuzzleStore:
             return VerifyOutcome.ACCEPTED
 
 
-def verify(receipt: Receipt, store: IssuedPuzzleStore, now: float) -> VerifyOutcome:
-    return store.verify_and_consume(receipt, now)
-
-
 def generate_challenge(
     store: IssuedPuzzleStore,
     algorithm: int = ALG_BASELINE,

@@ -19,8 +19,6 @@ import socket
 import threading
 from dataclasses import dataclass, field
 
-DEFAULT_MAX_BODY_BYTES = 52_428_800  # mirrors the advertised SIZE limit
-
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
@@ -53,7 +51,6 @@ class ScorerConfig:
     endpoint: tuple[str, int] | None = None
     timeout: float = 5.0
     fallback: float = 0.0
-    max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
 
     def __post_init__(self) -> None:
         if self.mode not in ("builtin", "external"):
@@ -62,8 +59,6 @@ class ScorerConfig:
             raise ValueError("fallback score must lie in [0, 1]")
         if self.mode == "external" and self.endpoint is None:
             raise ValueError("external scorer needs an endpoint")
-        if self.max_body_bytes < 1:
-            raise ValueError("max_body_bytes must be positive")
 
 
 def logistic(x: float) -> float:
@@ -145,10 +140,6 @@ class Scorer:
             self._degraded_calls += 1
 
     def score(self, body: bytes) -> SpamScore:
-        if len(body) > self.config.max_body_bytes:
-            raise ValueError(
-                f"body of {len(body)} bytes exceeds limit {self.config.max_body_bytes}"
-            )
         if self.config.mode == "builtin":
             return SpamScore(builtin_score(body, self.config.token_weights))
         assert self.config.endpoint is not None
@@ -158,8 +149,3 @@ class Scorer:
             self._note_degraded()
             return SpamScore(self.config.fallback, degraded=True)
         return SpamScore(value)
-
-
-def score(body: bytes, config: ScorerConfig) -> SpamScore:
-    """One-shot convenience wrapper around :class:`Scorer`."""
-    return Scorer(config).score(body)

@@ -10,15 +10,17 @@ post-DATA reply is withheld for a configured delay, and concurrent traffic
 from a host with sessions stuck in that state is throttled by one of three
 overload modes.
 
-Sessions are single-threaded state machines over CRLF-delimited lines; all
-timers consult an injectable clock so tests and simulations can run in
-virtual time.  Shared state across sessions is limited to the issued-puzzle
-store, the sin bin, and the per-host traffic counters.
+Sessions are single-threaded state machines over the bytes of one
+connection, split into CRLF-delimited lines; all timers consult an
+injectable clock so tests and simulations can run in virtual time.  Shared
+state across sessions is limited to the issued-puzzle store, the sin bin,
+and the per-host traffic counters.
 """
 from __future__ import annotations
 
 import enum
 import logging
+import os
 import random
 import re
 import socket
@@ -31,14 +33,15 @@ from dataclasses import dataclass
 from . import puzzle as pow
 from .clock import SystemClock
 from .policy import Decision, DecisionKind, PolicyConfig, SinBin, decide
-from .scoring import DEFAULT_MAX_BODY_BYTES, Scorer, ScorerConfig, SpamScore
+from .scoring import Scorer, ScorerConfig, SpamScore
 
 logger = logging.getLogger("spamfriction.server")
 
 GREETING = "250 ESMTP Server Ready"
 CRLF = "\r\n"
-# longest line read from the wire, CRLF included; the rest of a longer line
-# is discarded, and the session refuses what it was handed of it
+# longest line read from the wire, CRLF included, and the most bytes taken
+# per read; the rest of a longer line is discarded, and the session refuses
+# what it was handed of it
 MAX_LINE_BYTES = 65536
 
 # algorithms this implementation can actually mint and verify locally;
@@ -68,10 +71,14 @@ def parse_alg_list(text: str) -> set[int]:
     return algs
 
 
+def _to_wire(lines: list[str]) -> bytes:
+    return "".join(line + CRLF for line in lines).encode("latin-1")
+
+
 @dataclass
 class ServerConfig:
     hostname: str = "localhost"
-    max_message_bytes: int = DEFAULT_MAX_BODY_BYTES
+    max_message_bytes: int = 52_428_800  # advertised as SIZE
     advertise_auth: bool = True
     advertise_starttls: bool = True
     pow_algorithms: tuple[int, ...] = (0, 1, 2)
@@ -149,8 +156,6 @@ class MailboxSink:
     """Append-only mailbox file per recipient under one directory."""
 
     def __init__(self, directory):
-        import os
-
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
         self._lock = threading.Lock()
@@ -161,8 +166,6 @@ class MailboxSink:
         return f"{safe}.mbox"
 
     def deliver(self, mail_from: str, recipients, body: bytes, message_id: str, when: float) -> None:
-        import os
-
         stamp = time.asctime(time.gmtime(when))
         header = f"From {mail_from} {stamp}\nX-SpamFriction-Id: {message_id}\n".encode("latin-1")
         with self._lock:
@@ -244,11 +247,12 @@ class _PendingMessage:
 
 
 class ServerSession:
-    """One SMTP session: a state machine fed CRLF-stripped lines.
+    """One SMTP session: a state machine fed the bytes of one connection.
 
-    ``handle_line`` returns the reply lines to send (without CRLF).  While
-    the session is in DELAYED state the transport must call ``poll`` until
-    the withheld reply becomes due; ``next_release`` says when.
+    ``feed`` splits them into CRLF-stripped lines for ``handle_line``, which
+    returns the reply lines to send (without CRLF).  While the session is in
+    DELAYED state the transport must call ``poll`` once the withheld reply is
+    due; ``next_release`` says when.
     """
 
     def __init__(self, core: MailServerCore, peer_host: str):
@@ -269,11 +273,48 @@ class ServerSession:
         self._pending: _PendingMessage | None = None
         self._release_at: float | None = None
         self._withheld: list[str] | None = None
+        self._inbuf = bytearray()  # received bytes of a line not yet ended
+        self._discarding = False   # dropping the rest of an over-long line
 
     # -- transport surface -------------------------------------------------
 
     def greet(self) -> list[str]:
         return [GREETING]
+
+    def feed(self, data: bytes, now: float | None = None) -> bytes:
+        """Take bytes off the wire; return the reply bytes to send.
+
+        A line ends at LF and loses its trailing CRs and LFs.  A line of more
+        than MAX_LINE_BYTES bytes, LF included, is handed over cut at the cap
+        and its rest, up to the next LF, is discarded.  Input after DONE is
+        ignored."""
+        if now is None:
+            now = self.core.clock.now()
+        buf = self._inbuf
+        scan = len(buf)  # the bytes kept from the last call hold no LF
+        buf += data
+        start = 0
+        replies: list[str] = []
+        while self.state is not SessionState.DONE:
+            end = buf.find(b"\n", scan)
+            if self._discarding:
+                if end < 0:
+                    start = len(buf)
+                    break
+                self._discarding = False
+                start = scan = end + 1
+                continue
+            cut = start + MAX_LINE_BYTES
+            if not 0 <= end < cut:
+                if len(buf) < cut:
+                    break
+                end = cut - 1  # over-long: hand over its first MAX_LINE_BYTES bytes
+                self._discarding = True
+            line = buf[start:end + 1]
+            start = scan = end + 1
+            replies += self.handle_line(line.rstrip(b"\r\n").decode("latin-1"), now)
+        del buf[:start]
+        return _to_wire(replies)
 
     def handle_line(self, line: str, now: float | None = None) -> list[str]:
         if now is None:
@@ -300,9 +341,8 @@ class ServerSession:
         """Release a withheld legacy reply once its delay has elapsed."""
         if now is None:
             now = self.core.clock.now()
-        if self.state is not SessionState.DELAYED or self._release_at is None:
-            return []
-        if now < self._release_at:
+        release = self.next_release()
+        if release is None or now < release:
             return []
         pending = self._pending
         withheld = self._withheld
@@ -643,36 +683,31 @@ class ServerSession:
 def serve_connection(core: MailServerCore, conn: socket.socket, peer_host: str) -> None:
     """Pump one connection through a ServerSession until QUIT or EOF.
 
-    Legacy-delay waits use the core's clock, so a virtual clock makes them
-    instantaneous in tests.
+    The socket is read even while a legacy reply is withheld, with a timeout
+    that ends at its release, so a QUIT or a hang-up during the delay is
+    seen at once.
     """
     session = ServerSession(core, peer_host)
-    rfile = conn.makefile("rb")
-
-    def send(lines) -> None:
-        if lines:
-            conn.sendall(("".join(line + CRLF for line in lines)).encode("latin-1"))
-
     try:
-        send(session.greet())
+        conn.sendall(_to_wire(session.greet()))
         while session.state is not SessionState.DONE:
-            raw = rfile.readline(MAX_LINE_BYTES)
-            if not raw:
+            release = session.next_release()
+            timeout = None if release is None else release - core.clock.now()
+            if timeout is not None and timeout <= 0:
+                # due: poll without a read, since a zero timeout makes recv raise
+                conn.sendall(_to_wire(session.poll(core.clock.now())))
+                continue
+            conn.settimeout(timeout)
+            try:
+                data = conn.recv(MAX_LINE_BYTES)
+            except TimeoutError:
+                continue
+            if not data:
                 session.on_disconnect(core.clock.now())
                 break
-            if len(raw) == MAX_LINE_BYTES and not raw.endswith(b"\n"):
-                # over-long: drop the rest, which is no line of its own
-                while (rest := rfile.readline(MAX_LINE_BYTES)) and not rest.endswith(b"\n"):
-                    pass
-            line = raw.rstrip(b"\r\n").decode("latin-1")
-            send(session.handle_line(line, core.clock.now()))
-            while session.state is SessionState.DELAYED:
-                release = session.next_release()
-                assert release is not None
-                wait = release - core.clock.now()
-                if wait > 0:
-                    core.clock.sleep(wait)
-                send(session.poll(core.clock.now()))
+            replies = session.feed(data, core.clock.now())
+            if replies:
+                conn.sendall(replies)
     except OSError:
         session.on_disconnect(core.clock.now())
     except Exception:
@@ -680,12 +715,11 @@ def serve_connection(core: MailServerCore, conn: socket.socket, peer_host: str) 
         # burdened slot, and is not the sender's refusal
         logger.exception("session with %s failed", peer_host)
         try:
-            send(["451 Requested action aborted: local error in processing"])
+            conn.sendall(_to_wire(["451 Requested action aborted: local error in processing"]))
         except OSError:
             pass
         session._end_transaction(SessionState.DONE, core.clock.now())
     finally:
-        rfile.close()
         try:
             conn.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -701,17 +735,15 @@ class PowSmtpServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, listen_addr: tuple[str, int], core: MailServerCore):
         self.core = core
-        super().__init__(listen_addr, _ConnectionHandler)
+        super().__init__(listen_addr, None)  # finish_request serves each connection
 
     def verify_request(self, request, client_address) -> bool:
         # overload mode a: refuse connections from hosts with sessions
         # already waiting on a burden
         return self.core.traffic.connection_allowed(client_address[0])
 
-
-class _ConnectionHandler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:
-        serve_connection(self.server.core, self.request, self.client_address[0])
+    def finish_request(self, request, client_address) -> None:
+        serve_connection(self.core, request, client_address[0])
 
 
 def start_server(core: MailServerCore, listen_addr: tuple[str, int] = ("127.0.0.1", 0)):
@@ -751,13 +783,6 @@ class Message:
             raise ValueError("message needs an envelope sender")
         if not self.recipients:
             raise ValueError("message needs at least one recipient")
-
-
-class SmtpReplyError(Exception):
-    def __init__(self, code: int, lines: list[str]):
-        super().__init__(f"{code}: {lines[-1] if lines else ''}")
-        self.code = code
-        self.lines = lines
 
 
 def read_reply(rfile) -> tuple[int, list[str]]:

@@ -54,15 +54,9 @@ def test_builtin_score_extreme_weights_do_not_overflow():
     weights=st.dictionaries(st.text(max_size=8), st.floats(-50, 50), max_size=5),
 )
 def test_score_always_in_unit_interval(body, weights):
-    result = scoring.score(body, scoring.ScorerConfig(token_weights=weights))
+    result = scoring.Scorer(scoring.ScorerConfig(token_weights=weights)).score(body)
     assert 0.0 <= result.value <= 1.0
     assert not result.degraded
-
-
-def test_oversize_body_rejected():
-    config = scoring.ScorerConfig(max_body_bytes=10)
-    with pytest.raises(ValueError):
-        scoring.Scorer(config).score(b"x" * 11)
 
 
 def test_scorer_config_validation():

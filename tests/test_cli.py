@@ -257,7 +257,6 @@ scorer:
   endpoint: "127.0.0.1:7070"
   timeout: 2.5
   fallback: 0.5
-  max_body_bytes: 4096
 legacy:
   pre_accept_delay: 5
   max_connections_per_host: 3
@@ -302,6 +301,8 @@ def test_config_errors_exit_78(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     for body, key in (
         ("server:\n  hostnme: oops\n", "hostnme"),
+        # one body-size limit: the session's server.max_message_bytes
+        ("scorer:\n  max_body_bytes: 1000\n", "max_body_bytes"),
         # a bool takes only a YAML boolean, a string only a YAML string
         ("server:\n  advertise_auth: 'no'\n", "server.advertise_auth"),
         ("server:\n  hostname: null\n", "server.hostname"),
@@ -313,6 +314,7 @@ def test_config_errors_exit_78(tmp_path, capsys):
         ("server:\n  puzzle_ttl: '60'\n", "server.puzzle_ttl"),
         ("server:\n  pow_algorithms: ['1', true]\n", "server.pow_algorithms"),
         ("server:\n  pow_algorithms: [1, true]\n", "server.pow_algorithms"),
+        ("policy:\n  whitelist: [1, true]\n", "policy.whitelist"),
         ("policy:\n  graduated_buckets: [[0.5, 12.5]]\n", "policy.graduated_buckets"),
         ("scorer:\n  token_weights:\n    spam: false\n", "scorer.token_weights.spam"),
         ("server:\n  puzzle_ttl: 1" + "0" * 400 + "\n", "server.puzzle_ttl"),

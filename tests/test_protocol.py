@@ -6,6 +6,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     HAM_BODY,
@@ -20,7 +22,6 @@ from spamfriction import puzzle as pow
 from spamfriction import smtp
 from spamfriction.clock import SystemClock, VirtualClock
 from spamfriction.policy import PolicyConfig, SinBinConfig
-from spamfriction.scoring import Scorer, ScorerConfig
 from spamfriction.smtp import (
     ClientConfig,
     LegacyPolicy,
@@ -662,26 +663,30 @@ def test_every_exit_releases_the_burdened_host(start, exit_name):
     assert session._pending is None and session._withheld is None
 
 
-class FaultyClock(VirtualClock):
-    """A clock whose sleep fails: a server fault while a reply is withheld."""
+class LeapingClock(VirtualClock):
+    """A clock that is a minute later at every reading, so a withheld legacy
+    reply is due as soon as the session is read from again."""
 
-    def sleep(self, seconds):
-        raise RuntimeError("injected fault")
+    def now(self):
+        return self.advance(60.0)
 
 
 @pytest.mark.parametrize("start", ["awaiting-receipt", "delayed"])
 def test_server_fault_releases_the_session_without_a_refusal(monkeypatch, start):
     core = build_core(
-        clock=FaultyClock(),
+        clock=LeapingClock(),
         legacy=LegacyPolicy(pre_accept_delay=30.0),
         sinbin=SinBinConfig(max_refusals=1),
     )
     core.entropy = FixedEntropy(int(GOLDEN_NONCE))
 
-    def broken(receipt, now):
+    def broken(*args):
         raise RuntimeError("injected fault")
 
+    # a receipt faults in AWAITING_RECEIPT; the release of the withheld
+    # reply faults in DELAYED
     monkeypatch.setattr(core.store, "verify_and_consume", broken)
+    monkeypatch.setattr(core.sink, "deliver", broken)
     sessions = []
 
     class RecordingSession(ServerSession):
@@ -699,6 +704,8 @@ def test_server_fault_releases_the_session_without_a_refusal(monkeypatch, start)
         client_end.sendall("".join(line + "\r\n" for line in lines).encode())
         client_end.shutdown(socket.SHUT_WR)
         serve_connection(core, server_end, "10.1.2.3")
+        with client_end.makefile("rb") as rfile:
+            assert rfile.readlines()[-1] == b"451 Requested action aborted: local error in processing\r\n"
     (session,) = sessions
     assert session.state is SessionState.DONE
     assert core.traffic.burdened_count("10.1.2.3") == 0
@@ -761,12 +768,147 @@ def test_non_ascii_sender_is_delivered_to_the_mailbox(tmp_path):
     assert (tmp_path / "bob@example.net.mbox").read_bytes().startswith(b"From jos\xe9@example.org ")
 
 
-def test_scorer_fault_gets_a_451():
+def test_scorer_fault_gets_a_451(monkeypatch):
     core = build_core()
-    core.scorer = Scorer(ScorerConfig(max_body_bytes=10))
+
+    def broken(body):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(core.scorer, "score", broken)
     replies = converse(core, wire([*pow_transaction(), *HAM_BODY, "."]))
     assert replies[-1] == b"451 Requested action aborted: local error in processing\r\n"
     assert not core.sink.messages
+
+
+# -- framing: bytes in, lines to handle_line -----------------------------------------
+
+
+def readline_framing(session, data: bytes) -> bytes:
+    """Reference framing: hand ``data`` to the session line by line as a
+    ``readline(MAX_LINE_BYTES)`` loop does, discarding the rest of an
+    over-long line; return the reply bytes."""
+    stream = io.BytesIO(data)
+    replies = []
+    while session.state is not SessionState.DONE and (raw := stream.readline(MAX_LINE_BYTES)):
+        if len(raw) == MAX_LINE_BYTES and not raw.endswith(b"\n"):
+            while (rest := stream.readline(MAX_LINE_BYTES)) and not rest.endswith(b"\n"):
+                pass
+        replies += session.handle_line(raw.rstrip(b"\r\n").decode("latin-1"), 0.0)
+    return wire(replies)
+
+
+# body lines: dots to un-stuff, stray CRs, and lines at and past the cap
+BODY_LINE = st.one_of(
+    st.text(alphabet="a.\r ", max_size=6),
+    st.integers(MAX_LINE_BYTES - 3, MAX_LINE_BYTES + 3).map(lambda n: "meeting " + "a" * (n - 8)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lines=st.lists(st.tuples(BODY_LINE, st.sampled_from(["\r\n", "\n", "\r\r\n"])), max_size=6),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=8),
+)
+def test_feed_in_any_chunks_frames_like_readline(lines, cuts):
+    body = "".join(line + end for line, end in lines) + ".\r\nNOOP\nQUIT\r\nNOOP\r\n"
+    data = wire(pow_transaction()) + body.encode("latin-1")
+    reference_core, whole_core, chunked_core = build_core(), build_core(), build_core()
+    expected = readline_framing(make_session(reference_core), data)
+    assert make_session(whole_core).feed(data, 0.0) == expected
+    session = make_session(chunked_core)
+    bounds = [0, *sorted(int(c * len(data)) for c in cuts), len(data)]
+    assert b"".join(session.feed(data[a:b], 0.0) for a, b in zip(bounds, bounds[1:])) == expected
+    assert reference_core.sink.messages == whole_core.sink.messages == chunked_core.sink.messages
+    assert expected.endswith(b"221 receiving-mail.com closing connection\r\n")
+
+
+def test_feed_keeps_a_partial_line_until_its_end_arrives():
+    session = make_session(build_core())
+    assert session.feed(b"NO", 0.0) == b""
+    assert session.feed(b"OP\r", 0.0) == b""
+    assert session.feed(b"\nNOOP\r\nHE", 0.0) == b"250 OK\r\n250 OK\r\n"
+    # an over-long line is answered as soon as the cap is reached
+    assert session.feed(b"LP" + b"x" * (MAX_LINE_BYTES - 4), 0.0) == b"500 Line too long\r\n"
+    assert session.feed(b"xx" * 40_000, 0.0) == b""
+    assert session.feed(b"x\r\nNOOP\r\n", 0.0) == b"250 OK\r\n"
+
+
+# -- legacy delay over a socket: the server keeps listening ---------------------------
+
+LEGACY_DELAY = 1.0
+
+
+def start_legacy_delay(core):
+    """Serve a socketpair in a thread and send a legacy transaction up to its
+    final dot; return (client socket, reply reader, server thread, time the
+    dot was sent) once the reply is being withheld."""
+    server_end, client_end = socket.socketpair()
+    worker = threading.Thread(target=serve_connection, args=(core, server_end, "10.1.2.3"), daemon=True)
+    worker.start()
+    rfile = client_end.makefile("rb")
+    sent = time.time()
+    client_end.sendall(wire(["EHLO legacy.example", "MAIL FROM: a@b", "RCPT TO: c@d", "DATA", *HAM_BODY, "."]))
+    assert [read_reply(rfile)[0] for _ in range(5)] == [250, 250, 250, 250, 354]
+    deadline = time.monotonic() + 5
+    while core.traffic.burdened_count("10.1.2.3") == 0:
+        assert time.monotonic() < deadline, "server never entered the delay"
+        time.sleep(0.005)
+    return client_end, rfile, worker, sent
+
+
+def legacy_delay_core():
+    return build_core(clock=SystemClock(), legacy=LegacyPolicy(pre_accept_delay=LEGACY_DELAY))
+
+
+def test_hang_up_during_delay_drops_the_message():
+    core = legacy_delay_core()
+    client, rfile, worker, _ = start_legacy_delay(core)
+    rfile.close()
+    client.close()
+    # the hang-up is seen at once, and frees the host's burdened slot
+    worker.join(LEGACY_DELAY / 2)
+    assert not worker.is_alive()
+    assert core.traffic.burdened_count("10.1.2.3") == 0
+    assert not core.sink.messages
+
+
+def test_quit_during_delay_gets_221_at_once():
+    core = legacy_delay_core()
+    client, rfile, worker, _ = start_legacy_delay(core)
+    with client, rfile:
+        asked = time.monotonic()
+        client.sendall(b"QUIT\r\n")
+        assert read_reply(rfile) == (221, ["221 receiving-mail.com closing connection"])
+        assert time.monotonic() - asked < LEGACY_DELAY / 2
+        worker.join(10)
+    assert not worker.is_alive()
+    assert core.traffic.burdened_count("10.1.2.3") == 0
+    assert not core.sink.messages
+
+
+def test_noop_during_delay_gets_503_then_the_release():
+    core = legacy_delay_core()
+    client, rfile, worker, sent = start_legacy_delay(core)
+    with client, rfile:
+        asked = time.monotonic()
+        client.sendall(b"NOOP\r\n")
+        assert read_reply(rfile) == (503, ["503 Reply pending, wait"])
+        assert time.monotonic() - asked < LEGACY_DELAY / 2
+        code, lines = read_reply(rfile)
+        assert lines[0].startswith("250 OK id=")
+        assert time.time() >= sent + LEGACY_DELAY
+        client.sendall(b"QUIT\r\n")
+        assert read_reply(rfile)[0] == 221
+        worker.join(10)
+    assert not worker.is_alive()
+    assert len(core.sink.messages) == 1
+
+
+def test_release_already_due_is_sent_without_a_read():
+    core = build_core(clock=LeapingClock(), legacy=LegacyPolicy(pre_accept_delay=30.0))
+    replies = converse(core, wire(["EHLO legacy.example", "MAIL FROM: a@b", "RCPT TO: c@d", "DATA", *HAM_BODY, "."]))
+    assert replies[-1].startswith(b"250 OK id=")
+    assert len(core.sink.messages) == 1
 
 
 # -- mailbox sink -----------------------------------------------------------------
