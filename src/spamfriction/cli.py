@@ -232,7 +232,7 @@ def _cmd_calibrate(args) -> int:
     except (pow.CalibrationError, ValueError) as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    expected = (2.0**result.difficulty) / result.hash_rate
+    expected = pow.expected_seconds(result.difficulty, result.hash_rate)
     ttl = pow.default_ttl(result.difficulty, result.hash_rate)
     print(f"hash_rate={result.hash_rate:.0f}/s")
     print(f"difficulty={result.difficulty}")

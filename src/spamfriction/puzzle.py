@@ -6,9 +6,9 @@ whitespace).  Algorithm 0 is the mandatory baseline: the SHA-256 digest of
 the receipt string must start with at least ``difficulty`` zero bits.
 Difficulty is whole bits, so each step doubles the expected work.
 
-Replay protection is not part of the puzzle itself: the server remembers
-every nonce it issued in an :class:`IssuedPuzzleStore` and accepts each one
-at most once.
+Replay protection is not part of the puzzle itself: the server keeps each
+outstanding puzzle in an :class:`IssuedPuzzleStore`, which accepts its nonce
+at most once, until the puzzle is released or expires.
 """
 from __future__ import annotations
 
@@ -237,8 +237,10 @@ class IssuedPuzzleStore:
     lock so a nonce can never verify twice.  Capacity-bound: when full, the
     entry that expired first is evicted, found at the top of a heap of
     ``(expires_at, nonce)``, and if nothing has expired yet the issuance is
-    refused (overload signal).  Consumed nonces stay until evicted, so a
-    replay within the puzzle's lifetime reads as ``REPLAYED``.
+    refused (overload signal).  Consumed nonces stay until released or
+    evicted, so a replay within the puzzle's lifetime reads as ``REPLAYED``.
+    A released puzzle leaves its heap entry behind; such stale entries are
+    skipped at the top and dropped whenever they outnumber the live ones.
     """
 
     def __init__(self, capacity: int = 10_000):
@@ -264,11 +266,26 @@ class IssuedPuzzleStore:
                 raise ValueError(f"nonce {puzzle.nonce} already issued")
             self._add(puzzle, now)
 
+    def release(self, nonce: str) -> None:
+        """Forget a puzzle whose transaction has ended, consumed or not."""
+        with self._lock:
+            if self._puzzles.pop(nonce, None) is None:
+                return
+            self._consumed.discard(nonce)
+            if len(self._expiries) > 2 * len(self._puzzles):
+                self._expiries = [(p.expires_at, n) for n, p in self._puzzles.items()]
+                heapq.heapify(self._expiries)
+
     def _add(self, puzzle: Puzzle, now: float) -> None:
         # caller holds the lock and has checked that the nonce is new
         entry = (puzzle.expires_at, puzzle.nonce)
         if len(self._puzzles) >= self.capacity:
-            expires_at, nonce = self._expiries[0]
+            while True:
+                expires_at, nonce = self._expiries[0]
+                issued = self._puzzles.get(nonce)
+                if issued is not None and issued.expires_at == expires_at:
+                    break
+                heapq.heappop(self._expiries)  # left behind by a release
             if expires_at > now:
                 raise StoreFullError(f"{len(self._puzzles)} live puzzles outstanding")
             heapq.heapreplace(self._expiries, entry)
@@ -385,5 +402,10 @@ def default_ttl(difficulty: int, hash_rate: float) -> float:
     floor, so a demanded burden always fits inside the puzzle's lifetime."""
     if hash_rate <= 0:
         raise CalibrationError("hash rate must be positive")
-    expected = float(2**difficulty) / hash_rate
-    return max(3600.0, 2.0 * expected + 600.0)
+    return max(3600.0, 2.0 * expected_seconds(difficulty, hash_rate) + 600.0)
+
+
+def expected_seconds(difficulty: int, hash_rate: float) -> float:
+    """Mean time to solve a puzzle of ``difficulty`` bits at ``hash_rate``
+    hashes per second: 2**difficulty expected hashes."""
+    return float(2**difficulty) / hash_rate

@@ -259,8 +259,6 @@ class ServerSession:
         self.core = core
         self.peer_host = peer_host
         self.state = SessionState.GREETED
-        self.helo_name: str | None = None
-        self.client_algs: set[int] | None = None
         self.pow_negotiated = False
         self.negotiated_alg: int | None = None
         self.mail_from: str | None = None
@@ -366,18 +364,16 @@ class ServerSession:
 
     # -- command handlers ----------------------------------------------------
 
-    def _hello(self, arg: str, now: float, reason: str) -> None:
+    def _hello(self, now: float, reason: str) -> None:
         # a fresh EHLO or HELO ends any transaction and renegotiates from scratch
         self._end_transaction(SessionState.READY, now, refusal=reason)
-        self.helo_name = arg
-        self.client_algs = None
         self.pow_negotiated = False
         self.negotiated_alg = None
 
     def _handle_ehlo(self, arg: str, now: float) -> list[str]:
         if not arg:
             return ["501 EHLO requires a domain"]
-        self._hello(arg, now, "ehlo-reset")
+        self._hello(now, "ehlo-reset")
         cfg = self.core.config
         lines = [f"250-{cfg.hostname} Hello {arg} [{self.peer_host}]"]
         lines.append(f"250-SIZE {cfg.max_message_bytes}")
@@ -393,7 +389,7 @@ class ServerSession:
     def _handle_helo(self, arg: str, now: float) -> list[str]:
         if not arg:
             return ["501 HELO requires a domain"]
-        self._hello(arg, now, "helo-reset")
+        self._hello(now, "helo-reset")
         return [f"250 {self.core.config.hostname} Hello {arg} [{self.peer_host}]"]
 
     def _handle_pow(self, rest: str, now: float) -> list[str]:
@@ -408,7 +404,6 @@ class ServerSession:
                 algs = parse_alg_list(arg)
             except ValueError:
                 return ["501 Malformed algorithm list"]
-            self.client_algs = algs
             usable = self.core.issuable_algorithms(algs)
             self.pow_negotiated = bool(usable)
             self.negotiated_alg = usable[0] if usable else None
@@ -591,12 +586,14 @@ class ServerSession:
         if outcome in (pow.VerifyOutcome.BAD_SOLUTION, pow.VerifyOutcome.EXPIRED) and not self._reissued:
             # one fresh chance for an honest solver that fumbled or ran long
             self._reissued = True
+            replaced = self.puzzle
             try:
-                challenge = self._issue_puzzle(self.puzzle.difficulty, now)
+                challenge = self._issue_puzzle(replaced.difficulty, now)
             except pow.StoreFullError:
                 # the overload is the server's, so no refusal is recorded
                 self._end_transaction(SessionState.READY, now)
                 return ["452 Too many outstanding puzzles, try again later"]
+            self.core.store.release(replaced.nonce)
             return [f"211 POW Required (SPAM) {challenge.wire}"]
         return self._fail_receipt(now, outcome.value)
 
@@ -640,13 +637,16 @@ class ServerSession:
         """The one way out of a mail transaction, whatever ends it.
 
         Walking away from an outstanding puzzle with ``refusal`` set counts
-        as declining the burden.  The host's burdened slot is released, and
-        the puzzle, the pending message, the withheld reply and the envelope
-        are dropped before the session moves to ``state``.
+        as declining the burden.  The host's burdened slot and the puzzle's
+        store entry are released, and the puzzle, the pending message, the
+        withheld reply and the envelope are dropped before the session moves
+        to ``state``.
         """
-        if refusal is not None and self.puzzle is not None:
-            self.core.sinbin.record_refusal(self.peer_host, now)
-            logger.info("outcome=refused peer=%s reason=%s", self.peer_host, refusal)
+        if self.puzzle is not None:
+            if refusal is not None:
+                self.core.sinbin.record_refusal(self.peer_host, now)
+                logger.info("outcome=refused peer=%s reason=%s", self.peer_host, refusal)
+            self.core.store.release(self.puzzle.nonce)
         if self.state in _BURDENED_STATES:
             self.core.traffic.leave_burdened(self.peer_host)
         self.puzzle = None
@@ -820,103 +820,100 @@ def _local_hash_rate() -> float:
         return _rate_cache[0]
 
 
-def client_send(message: Message, conn: socket.socket, config: ClientConfig | None = None) -> SendResult:
-    """Deliver one message over an established connection.
+def client_dialogue(message: Message, cfg: ClientConfig):
+    """The sending side of one conversation, with no I/O.
 
-    Follows the capability negotiation, solves a demanded puzzle when the
-    estimated cost fits the work budget, and otherwise gives up politely so
-    the caller can tell the user the message was too spammy to afford.
-    Transport failures raise OSError subclasses.
+    Each value yielded is the lines to send (without CRLF) before the next
+    reply, which is sent back as ``(code, lines)``; the return value is the
+    :class:`SendResult`.  A demanded puzzle is solved only when its estimated
+    cost fits the work budget.  Every outcome after the greeting ends with
+    one ``QUIT``, during which a thrown ``OSError`` is ignored.
     """
-    cfg = config or ClientConfig()
-    rfile = conn.makefile("rb")
-
-    def send_line(line: str) -> None:
-        conn.sendall((line + CRLF).encode("latin-1"))
-
-    def command(line: str) -> tuple[int, list[str]]:
-        send_line(line)
-        return read_reply(rfile)
-
-    def quit_politely() -> None:
-        try:
-            send_line("QUIT")
-            read_reply(rfile)
-        except OSError:
-            pass
-
+    code, _ = yield []
+    if code >= 400:
+        return SendResult(SendStatus.REJECTED, code=code, detail="rejected at greeting")
+    result = yield from _transaction(message, cfg)
     try:
-        code, _ = read_reply(rfile)
-        if code >= 400:
-            return SendResult(SendStatus.REJECTED, code=code, detail="rejected at greeting")
-        code, ehlo_lines = command(f"EHLO {cfg.helo_name}")
-        if code != 250:
-            quit_politely()
-            return SendResult(SendStatus.REJECTED, code=code, detail="EHLO rejected")
-        advertised = _parse_spamfriction(ehlo_lines)
-        if advertised and advertised & set(cfg.supported_algorithms):
-            code, _ = command(f"POW ISUPPORT {format_alg_list(cfg.supported_algorithms)}")
-            if code != 250:
-                quit_politely()
-                return SendResult(SendStatus.REJECTED, code=code, detail="POW ISUPPORT rejected")
-        for verb, reply_ok in (
-            (f"MAIL FROM: {message.mail_from}", (250,)),
-            *((f"RCPT TO: {rcpt}", (250,)) for rcpt in message.recipients),
-            ("DATA", (354,)),
-        ):
-            code, lines = command(verb)
-            if code not in reply_ok:
-                quit_politely()
-                return SendResult(SendStatus.REJECTED, code=code, detail=lines[-1])
-        payload = message.body.replace(b"\r\n", b"\n").split(b"\n")
-        for body_line in payload:
-            text = body_line.decode("latin-1")
-            if text.startswith("."):
-                text = "." + text
-            send_line(text)
-        code, lines = command(".")
+        yield ["QUIT"]
+    except OSError:
+        pass
+    return result
 
-        budget_left = cfg.work_budget_seconds
-        reissues = 0
-        while code == 211:
+
+def _transaction(message: Message, cfg: ClientConfig):
+    code, ehlo_lines = yield [f"EHLO {cfg.helo_name}"]
+    if code != 250:
+        return SendResult(SendStatus.REJECTED, code=code, detail="EHLO rejected")
+    if _parse_spamfriction(ehlo_lines) & set(cfg.supported_algorithms):
+        code, _ = yield [f"POW ISUPPORT {format_alg_list(cfg.supported_algorithms)}"]
+        if code != 250:
+            return SendResult(SendStatus.REJECTED, code=code, detail="POW ISUPPORT rejected")
+    for verb, reply_ok in (
+        (f"MAIL FROM: {message.mail_from}", 250),
+        *((f"RCPT TO: {rcpt}", 250) for rcpt in message.recipients),
+        ("DATA", 354),
+    ):
+        code, lines = yield [verb]
+        if code != reply_ok:
+            return SendResult(SendStatus.REJECTED, code=code, detail=lines[-1])
+    payload = message.body.replace(b"\r\n", b"\n").decode("latin-1").split("\n")
+    code, lines = yield ["." + text if text.startswith(".") else text for text in payload] + ["."]
+
+    budget_left = cfg.work_budget_seconds
+    reissues = 0
+    while code == 211:
+        try:
             challenge = _parse_challenge(lines[-1])
-            if challenge.algorithm not in cfg.supported_algorithms:
-                quit_politely()
-                return SendResult(
-                    SendStatus.REFUSED_BURDEN,
-                    detail=f"unsupported algorithm {challenge.algorithm}",
-                    estimate_seconds=None,
-                )
-            rate = cfg.hash_rate if cfg.hash_rate else _local_hash_rate()
-            estimate = float(2**challenge.difficulty) / rate
-            if estimate > budget_left or reissues > cfg.max_reissues:
-                quit_politely()
-                return SendResult(
-                    SendStatus.REFUSED_BURDEN,
-                    detail=f"estimated {estimate:.1f}s of work exceeds budget",
-                    estimate_seconds=estimate,
-                )
-            started = time.monotonic()
-            try:
-                receipt = pow.solve(challenge, attempt_cap=int(budget_left * rate))
-            except pow.AttemptsExhausted as exc:
-                quit_politely()
-                return SendResult(
-                    SendStatus.REFUSED_BURDEN,
-                    detail=f"no solution within the work budget ({exc.attempts} attempts)",
-                    estimate_seconds=estimate,
-                )
-            budget_left -= time.monotonic() - started
-            code, lines = command(f"POW RECEIPT {receipt.wire}")
-            reissues += 1
-        if code == 250:
-            message_id = _parse_message_id(lines[-1])
-            quit_politely()
-            return SendResult(SendStatus.DELIVERED, code=code, message_id=message_id)
-        quit_politely()
-        return SendResult(SendStatus.REJECTED, code=code, detail=lines[-1])
-    finally:
-        rfile.close()
+        except pow.WireFormatError as exc:
+            return SendResult(SendStatus.REJECTED, code=code, detail=f"malformed puzzle: {exc}")
+        if challenge.algorithm not in cfg.supported_algorithms:
+            return SendResult(
+                SendStatus.REFUSED_BURDEN,
+                detail=f"unsupported algorithm {challenge.algorithm}",
+            )
+        rate = cfg.hash_rate if cfg.hash_rate else _local_hash_rate()
+        estimate = pow.expected_seconds(challenge.difficulty, rate)
+        if estimate > budget_left or reissues > cfg.max_reissues:
+            return SendResult(
+                SendStatus.REFUSED_BURDEN,
+                detail=f"estimated {estimate:.1f}s of work exceeds budget",
+                estimate_seconds=estimate,
+            )
+        started = time.monotonic()
+        try:
+            receipt = pow.solve(challenge, attempt_cap=int(budget_left * rate))
+        except pow.AttemptsExhausted as exc:
+            return SendResult(
+                SendStatus.REFUSED_BURDEN,
+                detail=f"no solution within the work budget ({exc.attempts} attempts)",
+                estimate_seconds=estimate,
+            )
+        budget_left -= time.monotonic() - started
+        code, lines = yield [f"POW RECEIPT {receipt.wire}"]
+        reissues += 1
+    if code == 250:
+        return SendResult(SendStatus.DELIVERED, code=code, message_id=_parse_message_id(lines[-1]))
+    return SendResult(SendStatus.REJECTED, code=code, detail=lines[-1])
+
+
+def client_send(message: Message, conn: socket.socket, config: ClientConfig | None = None) -> SendResult:
+    """Deliver one message over an established connection, one ``sendall``
+    per line :func:`client_dialogue` yields.  Transport failures raise OSError."""
+    dialogue = client_dialogue(message, config or ClientConfig())
+    with conn.makefile("rb") as rfile:
+        try:
+            lines = next(dialogue)
+            while True:
+                try:
+                    for line in lines:
+                        conn.sendall((line + CRLF).encode("latin-1"))
+                    reply = read_reply(rfile)
+                except OSError as exc:
+                    lines = dialogue.throw(exc)
+                else:
+                    lines = dialogue.send(reply)
+        except StopIteration as done:
+            return done.value
 
 
 def _parse_spamfriction(ehlo_lines: list[str]) -> set[int]:

@@ -1,11 +1,13 @@
+import io
 import random
 
 import pytest
 
+from spamfriction import smtp
 from spamfriction.clock import VirtualClock
 from spamfriction.policy import PolicyConfig, SinBinConfig
 from spamfriction.scoring import Scorer, ScorerConfig
-from spamfriction.smtp import LegacyPolicy, MailServerCore, ServerConfig, ServerSession
+from spamfriction.smtp import ClientConfig, LegacyPolicy, MailServerCore, ServerConfig, ServerSession
 
 # weights chosen so test bodies land far from the 0.05 threshold
 TEST_WEIGHTS = {
@@ -116,3 +118,24 @@ def submit_body(session, body_lines, now=0.0):
     for line in body_lines:
         session.handle_line(line, now)
     return session.handle_line(".", now)
+
+
+def converse(message, session, config=None):
+    """Run ``smtp.client_dialogue`` against ``session`` in memory, with no
+    socket or thread, and return the client's SendResult.  A withheld legacy
+    reply is released as soon as the client waits for it."""
+    dialogue = smtp.client_dialogue(message, config or ClientConfig())
+    replies = smtp._to_wire(session.greet())
+    try:
+        lines = next(dialogue)
+        while True:
+            replies += session.feed(smtp._to_wire(lines))
+            if not replies:
+                replies = smtp._to_wire(session.poll(session.next_release()))
+            rfile = io.BytesIO(replies)
+            reply = smtp.read_reply(rfile)
+            assert not rfile.read(), "more than one reply to one step of the dialogue"
+            lines = dialogue.send(reply)
+            replies = b""
+    except StopIteration as done:
+        return done.value

@@ -294,6 +294,34 @@ def test_evicted_consumed_nonce_is_unknown():
     assert store.verify_and_consume(receipt, now=201.0) is pow.VerifyOutcome.ACCEPTED
 
 
+def test_released_nonce_is_forgotten_and_eviction_skips_it():
+    store = pow.IssuedPuzzleStore(capacity=3)
+    p = make_issued(store, difficulty=8, nonce="1", now=0.0, ttl=10.0)
+    receipt = pow.solve(p)
+    assert store.verify_and_consume(receipt, now=1.0) is pow.VerifyOutcome.ACCEPTED
+    make_issued(store, nonce="2", now=0.0, ttl=20.0)
+    make_issued(store, nonce="3", now=0.0, ttl=100.0)
+    store.release("1")
+    store.release("1")  # releasing twice is harmless
+    assert len(store) == 2 and "1" not in store
+    assert store.verify_and_consume(receipt, now=2.0) is pow.VerifyOutcome.UNKNOWN_NONCE
+    make_issued(store, nonce="4", now=5.0, ttl=100.0)
+    # full: the top of the heap is the released "1", and "2" is the entry to evict
+    make_issued(store, nonce="5", now=50.0, ttl=100.0)
+    assert "2" not in store
+    assert "3" in store and "4" in store and "5" in store
+
+
+def test_issue_and_release_keep_the_expiry_heap_bounded():
+    store = pow.IssuedPuzzleStore(capacity=10)
+    for _ in range(5):
+        pow.generate_challenge(store, difficulty=0, now=0.0)
+    for i in range(100_000):
+        store.release(pow.generate_challenge(store, difficulty=0, now=float(i)).nonce)
+    assert len(store) == 5
+    assert len(store._expiries) <= 2 * len(store)
+
+
 def test_store_duplicate_nonce_rejected():
     store = pow.IssuedPuzzleStore()
     make_issued(store, nonce="5")

@@ -337,6 +337,8 @@ def test_bad_solution_gets_one_fresh_puzzle():
     fresh = pow.parse_puzzle(replies[0].rsplit(" ", 1)[-1])
     assert fresh.nonce != challenge.nonce
     assert fresh.difficulty == challenge.difficulty
+    # the fresh puzzle takes the old one's place in the store
+    assert challenge.nonce not in session.core.store and fresh.nonce in session.core.store
     # solving the fresh puzzle still delivers
     receipt = pow.solve(fresh)
     assert session.handle_line(f"POW RECEIPT {receipt.wire}", 0.0)[0].startswith("250 OK")
@@ -661,6 +663,7 @@ def test_every_exit_releases_the_burdened_host(start, exit_name):
     assert core.traffic.burdened_count("10.1.2.3") == 0
     assert session.puzzle is None
     assert session._pending is None and session._withheld is None
+    assert len(core.store) == 0
 
 
 class LeapingClock(VirtualClock):
