@@ -157,10 +157,14 @@ def _cmd_serve(args) -> int:
 def _cmd_send(args) -> int:
     app = load_config(args.config)
     client_cfg = app.client
-    if args.budget is not None:
-        client_cfg = replace(client_cfg, work_budget_seconds=args.budget)
-    if args.helo:
-        client_cfg = replace(client_cfg, helo_name=args.helo)
+    try:
+        if args.budget is not None:
+            client_cfg = replace(client_cfg, work_budget_seconds=args.budget)
+        if args.helo:
+            client_cfg = replace(client_cfg, helo_name=args.helo)
+    except ValueError as exc:
+        print(f"send: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     app.client = client_cfg
     if args.dump_effective_config:
         sys.stdout.write(dump_effective(app))

@@ -69,18 +69,66 @@ def logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
+def _folded(body: bytes) -> str:
+    return body.decode("utf-8", errors="replace").casefold()
+
+
 def tokenize(body: bytes) -> list[str]:
     """Case-folded tokens split on whitespace and punctuation."""
-    text = body.decode("utf-8", errors="replace").casefold()
-    return _TOKEN_RE.findall(text)
+    return _TOKEN_RE.findall(_folded(body))
+
+
+def _weighted_token_re(token_weights: dict[str, float]) -> re.Pattern | None:
+    """A pattern whose matches in case-folded text are exactly the tokens
+    that carry a weight, or None when no key can be a token.
+
+    A key that ``_TOKEN_RE`` does not match whole is never a token, so it is
+    left out; the lookarounds hold each match to a whole token.  The keys
+    form one alternation factored as a trie: a flat ``k1|k2|...`` would make
+    the engine try every key at every character of the body.
+    """
+    trie: dict = {}
+    for key in filter(_TOKEN_RE.fullmatch, token_weights):
+        node = trie
+        for char in key:
+            node = node.setdefault(char, {})
+        node[""] = {}  # a key ends here
+    if not trie:
+        return None
+    return re.compile(r"(?<![^\W_])" + _alternation(trie) + r"(?![^\W_])")
+
+
+def _alternation(node: dict) -> str:
+    branches = []
+    for char, child in node.items():
+        if char:
+            # a run of characters with no choice between them is one literal
+            text = re.escape(char)
+            while len(child) == 1 and "" not in child:
+                (char, child), = child.items()
+                text += re.escape(char)
+            branches.append(text + _alternation(child))
+    if not branches:
+        return ""
+    if len(branches) == 1 and "" not in node:
+        return branches[0]
+    # an optional group is greedy: a longer key is tried before one ending here
+    return "(?:" + "|".join(branches) + ")" + ("?" if "" in node else "")
+
+
+def _score(body: bytes, token_weights: dict[str, float], weighted: re.Pattern | None) -> float:
+    # only weighted tokens move the sum, so only they are matched, in text
+    # order, and no list of every token is built
+    evidence = 0.0
+    if weighted is not None:
+        for match in weighted.finditer(_folded(body)):
+            evidence += token_weights[match.group()]
+    return logistic(evidence)
 
 
 def builtin_score(body: bytes, token_weights: dict[str, float]) -> float:
     """logistic(sum of token weights); 0.5 for an empty body (no evidence)."""
-    evidence = 0.0
-    for token in tokenize(body):
-        evidence += token_weights.get(token, 0.0)
-    return logistic(evidence)
+    return _score(body, token_weights, _weighted_token_re(token_weights))
 
 
 def external_score(body: bytes, endpoint: tuple[str, int], timeout: float = 5.0) -> float:
@@ -127,6 +175,8 @@ class Scorer:
 
     def __init__(self, config: ScorerConfig):
         self.config = config
+        # the vocabulary is read once, here
+        self._weighted = _weighted_token_re(config.token_weights)
         self._degraded_calls = 0
         self._lock = threading.Lock()
 
@@ -141,7 +191,7 @@ class Scorer:
 
     def score(self, body: bytes) -> SpamScore:
         if self.config.mode == "builtin":
-            return SpamScore(builtin_score(body, self.config.token_weights))
+            return SpamScore(_score(body, self.config.token_weights, self._weighted))
         assert self.config.endpoint is not None
         try:
             value = external_score(body, self.config.endpoint, self.config.timeout)

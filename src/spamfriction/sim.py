@@ -23,8 +23,6 @@ import io
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .policy import CostModel, expected_costs
 
 KIND_HAM = "ham"
@@ -74,7 +72,6 @@ class SimConfig:
     days: int = 1
     day_seconds: float = DAY_SECONDS
     seed: int = 0
-    free_message_cap: int = DEFAULT_FREE_CAP
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.false_positive_rate < 1.0:
@@ -92,8 +89,6 @@ class SimConfig:
         names = [c.name for c in self.cohorts]
         if len(set(names)) != len(names):
             raise ValueError("cohort names must be unique")
-        if self.free_message_cap < 1:
-            raise ValueError("free_message_cap must be at least 1")
 
     def resist_probability(self, kind: str) -> float:
         if kind == KIND_HAM:
@@ -218,15 +213,14 @@ class SimReport:
 def _run_unbounded(spec, config, p, cost, rng) -> CohortResult:
     result = CohortResult(spec)
     machine_days = spec.machines * config.days
-    cap = config.free_message_cap
     # clamp to the cap before int(): a tiny cost makes the quotient infinite
-    paid_slots = int(min(config.day_seconds // cost, cap)) if cost > 0.0 else 0
+    paid_slots = int(min(config.day_seconds // cost, DEFAULT_FREE_CAP)) if cost > 0.0 else 0
     expected_free = paid_slots * (1.0 - p) / p if p > 0.0 else math.inf
-    if p == 0.0 or cost == 0.0 or paid_slots >= cap or expected_free >= cap:
+    if p == 0.0 or cost == 0.0 or paid_slots >= DEFAULT_FREE_CAP or expected_free >= DEFAULT_FREE_CAP:
         # the burden cannot meaningfully slow this machine down (never
         # resisted, free solves, or throughput past the cap even when
         # paying): cut the firehose off at the cap
-        total = cap * machine_days
+        total = DEFAULT_FREE_CAP * machine_days
         result.capped = True
         result.attempted = total
         result.delivered = total
@@ -275,6 +269,9 @@ def _run_bounded(spec, config, p, cost, rng) -> CohortResult:
 
 def run(config: SimConfig) -> SimReport:
     """Play out the configured days and return per-cohort accounting."""
+    # imported here so that the mail path, which never simulates, skips numpy
+    import numpy as np
+
     seeds = np.random.SeedSequence(config.seed).spawn(len(config.cohorts))
     results = []
     for spec, child in zip(config.cohorts, seeds):

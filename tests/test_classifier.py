@@ -3,9 +3,10 @@ import math
 import socket
 import threading
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spamfriction import scoring
@@ -57,6 +58,48 @@ def test_score_always_in_unit_interval(body, weights):
     result = scoring.Scorer(scoring.ScorerConfig(token_weights=weights)).score(body)
     assert 0.0 <= result.value <= 1.0
     assert not result.degraded
+
+
+# pieces that stress case folding and token edges: ß folds to ss, ǅ to ǆ and
+# İ to i plus a combining dot, which (like _ and -) splits tokens
+_PIECES = st.sampled_from(["a", "ab", "abc", "ss", "ß", "ǅ", "ǆ", "İ", "i", "\u0307", "_", "-", " ", "\r\n", "7"])
+_WORDS = st.lists(_PIECES, max_size=4).map("".join)
+
+
+def _whole_token_score(body, weights):
+    # the reference: every token looked up, summed left to right
+    evidence = 0.0
+    for token in scoring.tokenize(body):
+        evidence += weights.get(token, 0.0)
+    return scoring.logistic(evidence)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    body=st.one_of(st.lists(_PIECES, max_size=40).map(lambda p: "".join(p).encode()), st.binary(max_size=60)),
+    weights=st.dictionaries(
+        st.one_of(_WORDS, st.text(max_size=4)),
+        st.one_of(st.sampled_from([0.0, 5e-324, 1e308, -1e308]), st.floats(-50, 50)),
+        max_size=12,
+    ),
+)
+def test_builtin_score_matches_whole_token_sum(body, weights):
+    expected = _whole_token_score(body, weights)
+    assert scoring.builtin_score(body, weights) == expected
+    assert scoring.Scorer(scoring.ScorerConfig(token_weights=weights)).score(body).value == expected
+
+
+def test_builtin_score_holds_no_token_list():
+    body = b"filler " * 150_000 + b"spam"
+    tracemalloc.start()
+    try:
+        score = scoring.builtin_score(body, {"spam": 1.0})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert score == scoring.logistic(1.0)
+    # the decoded and case-folded text, not one object per token
+    assert peak < 3 * len(body)
 
 
 def test_scorer_config_validation():

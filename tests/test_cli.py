@@ -1,6 +1,9 @@
 """Command line interface and YAML configuration handling."""
 import csv
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -319,6 +322,15 @@ def test_config_errors_exit_78(tmp_path, capsys):
         ("scorer:\n  token_weights:\n    spam: false\n", "scorer.token_weights.spam"),
         ("server:\n  puzzle_ttl: 1" + "0" * 400 + "\n", "server.puzzle_ttl"),
         ("policy:\n  base_difficulty: 1" + "0" * 5000 + "\n", "bad YAML"),
+        # client values the dialogue could not act on
+        ("client:\n  hash_rate: -5\n", "hash_rate"),
+        ("client:\n  hash_rate: .nan\n", "hash_rate"),
+        ("client:\n  work_budget_seconds: -1\n", "work_budget_seconds"),
+        ("client:\n  work_budget_seconds: .inf\n", "work_budget_seconds"),
+        ("client:\n  work_budget_seconds: .nan\n", "work_budget_seconds"),
+        ("client:\n  max_reissues: -1\n", "max_reissues"),
+        ("client:\n  supported_algorithms: [0, -1]\n", "supported_algorithms"),
+        ("client:\n  helo_name: ''\n", "helo_name"),
     ):
         path.write_text(body)
         assert cli.main(["serve", "--config", str(path), "--dump-effective-config"]) == 78
@@ -412,6 +424,15 @@ def test_send_transport_failure_exits_four(tmp_path, capsys):
     assert "transport failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_send_invalid_budget_exits_64(budget, capsys):
+    code = cli.main(
+        ["send", "--from", "a@x", "--to", "b@y", "--budget", budget, "--dump-effective-config"]
+    )
+    assert code == 64
+    assert "work_budget_seconds" in capsys.readouterr().err
+
+
 def test_send_dump_effective_config_skips_network(capsys):
     code = cli.main(
         ["send", "--from", "a@x", "--to", "b@y", "--budget", "7.5", "--dump-effective-config"]
@@ -419,3 +440,23 @@ def test_send_dump_effective_config_skips_network(capsys):
     assert code == 0
     data = yaml.safe_load(capsys.readouterr().out)
     assert data["client"]["work_budget_seconds"] == 7.5
+
+
+# -- import graph ------------------------------------------------------------------
+
+
+def test_only_simulating_loads_numpy():
+    # the server and the client never simulate, so they must not pay for numpy
+    code = """
+import sys
+import spamfriction.cli, spamfriction.config, spamfriction.smtp, spamfriction.puzzle
+import spamfriction.scoring, spamfriction.policy, spamfriction.clock, spamfriction.sim
+from spamfriction import config, scoring, smtp
+assert "numpy" not in sys.modules, "numpy loaded at import"
+spamfriction.sim.run(spamfriction.sim.preset("paper-20"))
+assert "numpy" in sys.modules
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

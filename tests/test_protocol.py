@@ -961,6 +961,19 @@ def tcp_server():
     server.server_close()
 
 
+def test_started_server_stops_promptly():
+    server, addr = start_server(build_core(clock=SystemClock()))
+    try:
+        # one served connection shows the accept loop is running
+        with socket.create_connection(addr, timeout=5) as conn:
+            conn.recv(1024)
+        started = time.monotonic()
+        server.shutdown()
+        assert time.monotonic() - started < 0.25
+    finally:
+        server.server_close()
+
+
 def test_client_delivers_ham_over_tcp(tcp_server):
     core, addr = tcp_server
     result = send_message(
