@@ -20,6 +20,10 @@ import threading
 from dataclasses import dataclass, field
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# the builtin scorer folds and matches a body in slices that end at the
+# first LF at or past every this many bytes, so the copies it holds do not
+# grow with the body
+_SLICE_BYTES = 65536
 
 
 class ScorerUnavailable(Exception):
@@ -120,9 +124,14 @@ def _score(body: bytes, token_weights: dict[str, float], weighted: re.Pattern | 
     # only weighted tokens move the sum, so only they are matched, in text
     # order, and no list of every token is built
     evidence = 0.0
-    if weighted is not None:
-        for match in weighted.finditer(_folded(body)):
+    start = 0
+    while weighted is not None and start < len(body):
+        # a slice ends just after an LF: no token spans one and no UTF-8
+        # sequence holds one, so slicing changes no match
+        end = body.find(b"\n", start + _SLICE_BYTES) + 1 or len(body)
+        for match in weighted.finditer(_folded(body[start:end])):
             evidence += token_weights[match.group()]
+        start = end
     return logistic(evidence)
 
 
@@ -141,9 +150,15 @@ def external_score(body: bytes, endpoint: tuple[str, int], timeout: float = 5.0)
         with socket.create_connection(endpoint, timeout=timeout) as conn:
             conn.sendall(b"SCORE %d\n" % len(body))
             conn.sendall(body)
-            reply = _read_line(conn, timeout)
+            with conn.makefile("rb") as rfile:
+                # the timeout set by create_connection bounds the read
+                reply = rfile.readline(129).decode("ascii", errors="replace")
     except OSError as exc:
         raise ScorerUnavailable(f"scorer at {endpoint[0]}:{endpoint[1]}: {exc}") from exc
+    if len(reply) > 128:
+        raise ScorerUnavailable("scorer reply line too long")
+    if not reply.endswith("\n"):
+        raise ScorerUnavailable("scorer closed the connection mid-reply")
     try:
         value = float(reply.strip())
     except ValueError as exc:
@@ -151,19 +166,6 @@ def external_score(body: bytes, endpoint: tuple[str, int], timeout: float = 5.0)
     if math.isnan(value) or not 0.0 <= value <= 1.0:
         raise ScorerUnavailable(f"scorer reply out of range: {reply!r}")
     return value
-
-
-def _read_line(conn: socket.socket, timeout: float) -> str:
-    conn.settimeout(timeout)
-    chunks = bytearray()
-    while not chunks.endswith(b"\n"):
-        data = conn.recv(1)
-        if not data:
-            raise ScorerUnavailable("scorer closed the connection mid-reply")
-        chunks += data
-        if len(chunks) > 128:
-            raise ScorerUnavailable("scorer reply line too long")
-    return chunks.decode("ascii", errors="replace")
 
 
 class Scorer:

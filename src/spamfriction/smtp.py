@@ -11,10 +11,10 @@ from a host with sessions stuck in that state is throttled by one of three
 overload modes.
 
 Sessions are single-threaded state machines over the bytes of one
-connection, split into CRLF-delimited lines; all timers consult an
-injectable clock so tests and simulations can run in virtual time.  Shared
-state across sessions is limited to the issued-puzzle store, the sin bin,
-and the per-host traffic counters.
+connection, split into CRLF-delimited lines; they take the time from the
+transport, which reads an injectable clock so tests and simulations can run
+in virtual time.  Shared state across sessions is limited to the
+issued-puzzle store, the sin bin, and the per-host traffic counters.
 """
 from __future__ import annotations
 
@@ -253,6 +253,11 @@ class ServerSession:
     returns the reply lines to send (without CRLF).  While the session is in
     DELAYED state the transport must call ``poll`` once the withheld reply is
     due; ``next_release`` says when.
+
+    Time is an argument: every call takes ``now``, and no clock is read.
+    Nothing is raised: a fault inside the server, an ``OSError`` from the
+    sink included, ends the session with ``451`` after the replies already
+    built, and is not held against the sender.
     """
 
     def __init__(self, core: MailServerCore, peer_host: str):
@@ -279,15 +284,13 @@ class ServerSession:
     def greet(self) -> list[str]:
         return [GREETING]
 
-    def feed(self, data: bytes, now: float | None = None) -> bytes:
+    def feed(self, data: bytes, now: float) -> bytes:
         """Take bytes off the wire; return the reply bytes to send.
 
         A line ends at LF and loses its trailing CRs and LFs.  A line of more
         than MAX_LINE_BYTES bytes, LF included, is handed over cut at the cap
         and its rest, up to the next LF, is discarded.  Input after DONE is
         ignored."""
-        if now is None:
-            now = self.core.clock.now()
         buf = self._inbuf
         scan = len(buf)  # the bytes kept from the last call hold no LF
         buf += data
@@ -314,53 +317,60 @@ class ServerSession:
         del buf[:start]
         return _to_wire(replies)
 
-    def handle_line(self, line: str, now: float | None = None) -> list[str]:
-        if now is None:
-            now = self.core.clock.now()
-        if self.state is SessionState.DONE:
-            return []
-        if self.state is SessionState.DATA:
-            return self._handle_data_line(line, now)
-        if len(line) > 8192:
-            return ["500 Line too long"]
-        verb, _, rest = line.partition(" ")
-        verb = verb.upper()
-        rest = rest.strip()
-        if self.state is SessionState.DELAYED:
-            if verb == "QUIT":
-                return self._handle_quit(now)
-            return ["503 Reply pending, wait"]
-        handler = self._COMMANDS.get(verb)
-        if handler is None:
-            return ["500 Unrecognised command"]
-        return handler(self, rest, now)
+    def handle_line(self, line: str, now: float) -> list[str]:
+        # a plain try, not a wrapper call: this runs once per body line
+        try:
+            if self.state is SessionState.DONE:
+                return []
+            if self.state is SessionState.DATA:
+                return self._handle_data_line(line, now)
+            if len(line) > 8192:
+                return ["500 Line too long"]
+            verb, _, rest = line.partition(" ")
+            verb = verb.upper()
+            rest = rest.strip()
+            if self.state is SessionState.DELAYED:
+                if verb == "QUIT":
+                    return self._handle_quit(now)
+                return ["503 Reply pending, wait"]
+            handler = self._COMMANDS.get(verb)
+            if handler is None:
+                return ["500 Unrecognised command"]
+            return handler(self, rest, now)
+        except Exception:
+            return self._fault(now)
 
-    def poll(self, now: float | None = None) -> list[str]:
+    def poll(self, now: float) -> list[str]:
         """Release a withheld legacy reply once its delay has elapsed."""
-        if now is None:
-            now = self.core.clock.now()
         release = self.next_release()
         if release is None or now < release:
             return []
-        pending = self._pending
-        withheld = self._withheld
-        if pending is not None:
-            # the acceptance is only uttered now, so delivery happens now
-            self._end_transaction(SessionState.READY, now)
-            return [self._deliver(pending, now, resisted=False)]
-        # the withheld reply was a temporary rejection; end the session
-        self._end_transaction(SessionState.DONE, now)
-        return withheld or []
+        try:
+            pending = self._pending
+            withheld = self._withheld
+            if pending is not None:
+                # the acceptance is only uttered now, so delivery happens now
+                self._end_transaction(SessionState.READY, now)
+                return [self._deliver(pending, now, resisted=False)]
+            # the withheld reply was a temporary rejection; end the session
+            self._end_transaction(SessionState.DONE, now)
+            return withheld or []
+        except Exception:
+            return self._fault(now)
 
     def next_release(self) -> float | None:
         return self._release_at if self.state is SessionState.DELAYED else None
 
-    def on_disconnect(self, now: float | None = None) -> None:
-        """Transport-level EOF.  Dropping the link while a puzzle is
-        outstanding counts as declining the burden."""
-        if now is None:
-            now = self.core.clock.now()
+    def on_disconnect(self, now: float) -> None:
+        """Transport-level EOF, a no-op once DONE.  Dropping the link while a
+        puzzle is outstanding counts as declining the burden."""
         self._end_transaction(SessionState.DONE, now, refusal="disconnect")
+
+    def _fault(self, now: float) -> list[str]:
+        # the fault is the server's, so no refusal is recorded
+        logger.exception("session with %s failed", self.peer_host)
+        self._end_transaction(SessionState.DONE, now)
+        return ["451 Requested action aborted: local error in processing"]
 
     # -- command handlers ----------------------------------------------------
 
@@ -703,23 +713,14 @@ def serve_connection(core: MailServerCore, conn: socket.socket, peer_host: str) 
             except TimeoutError:
                 continue
             if not data:
-                session.on_disconnect(core.clock.now())
                 break
             replies = session.feed(data, core.clock.now())
             if replies:
                 conn.sendall(replies)
     except OSError:
-        session.on_disconnect(core.clock.now())
-    except Exception:
-        # a server fault still ends in a reply, must release the host's
-        # burdened slot, and is not the sender's refusal
-        logger.exception("session with %s failed", peer_host)
-        try:
-            conn.sendall(_to_wire(["451 Requested action aborted: local error in processing"]))
-        except OSError:
-            pass
-        session._end_transaction(SessionState.DONE, core.clock.now())
+        pass  # the session raises nothing, so the socket failed: the peer is gone
     finally:
+        session.on_disconnect(core.clock.now())
         try:
             conn.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -798,10 +799,11 @@ def read_reply(rfile) -> tuple[int, list[str]]:
         if not raw:
             raise ConnectionError("server closed the connection mid-reply")
         text = raw.rstrip(b"\r\n").decode("latin-1")
-        if len(text) < 4 or not text[:3].isdigit():
+        # the text after the code is optional (RFC 5321 section 4.2)
+        if len(text) < 3 or not (text[:3].isascii() and text[:3].isdigit()):
             raise ConnectionError(f"malformed reply line: {text!r}")
         lines.append(text)
-        if text[3] != "-":
+        if text[3:4] != "-":
             return int(text[:3]), lines
 
 

@@ -122,20 +122,26 @@ def submit_body(session, body_lines, now=0.0):
 
 def converse(message, session, config=None):
     """Run ``smtp.client_dialogue`` against ``session`` in memory, with no
-    socket or thread, and return the client's SendResult.  A withheld legacy
-    reply is released as soon as the client waits for it."""
+    socket or thread, and return the client's SendResult.  Time is read from
+    the session's core clock; a withheld legacy reply is released as soon as
+    the client waits for it, and a session that has ended reads as a closed
+    connection, as it does to ``client_send``."""
     dialogue = smtp.client_dialogue(message, config or ClientConfig())
     replies = smtp._to_wire(session.greet())
     try:
         lines = next(dialogue)
         while True:
-            replies += session.feed(smtp._to_wire(lines))
+            replies += session.feed(smtp._to_wire(lines), session.core.clock.now())
             if not replies:
                 replies = smtp._to_wire(session.poll(session.next_release()))
             rfile = io.BytesIO(replies)
-            reply = smtp.read_reply(rfile)
+            replies = b""
+            try:
+                reply = smtp.read_reply(rfile)
+            except ConnectionError as exc:
+                lines = dialogue.throw(exc)
+                continue
             assert not rfile.read(), "more than one reply to one step of the dialogue"
             lines = dialogue.send(reply)
-            replies = b""
     except StopIteration as done:
         return done.value

@@ -1,5 +1,6 @@
 """Spam scoring: builtin token model and the external scorer protocol."""
 import math
+import random
 import socket
 import threading
 import time
@@ -102,6 +103,26 @@ def test_builtin_score_holds_no_token_list():
     assert peak < 3 * len(body)
 
 
+def test_builtin_score_folds_a_large_body_in_slices():
+    # non-ASCII text folds through a buffer of several bytes per character,
+    # so folding the whole body at once would hold many times its size
+    rng = random.Random(5)
+    pieces = ["spam", "Straße", "STRASSE", "ǅ", "İ", "\xe9", "lunch", "a_b", "x-y", " ", " ", "\r\n", "\n"]
+    text = "".join(rng.choice(pieces) for _ in range(360_000))
+    body = text.encode()[:1_000_000] + b"\xc3\n\xff" + "\xe9".encode()
+    weights = {"spam": 0.25, "strasse": -0.5, "ǆ": 1e-3, "i\u0307": 0.125, "\xe9": 1e-9, "lunch": -0.0625}
+    expected = _whole_token_score(body, weights)
+    scorer = scoring.Scorer(scoring.ScorerConfig(token_weights=weights))
+    tracemalloc.start()
+    try:
+        value = scorer.score(body).value
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == expected
+    assert peak < 3 * len(body)
+
+
 def test_scorer_config_validation():
     with pytest.raises(ValueError):
         scoring.ScorerConfig(mode="oracle")
@@ -196,7 +217,11 @@ def test_external_unreachable_falls_back():
     assert scorer.degraded_calls == 1
 
 
-@pytest.mark.parametrize("reply", [b"not-a-number\n", b"1.5\n", b"-0.1\n", b"nan\n"])
+@pytest.mark.parametrize(
+    "reply",
+    # the last two: a line of 129 bytes, and a reply cut off before its LF
+    [b"not-a-number\n", b"1.5\n", b"-0.1\n", b"nan\n", b" " * 124 + b"0.25\n", b"0.25"],
+)
 def test_external_bad_reply_falls_back(reply):
     stub = StubScorer(reply=reply)
     try:
@@ -204,6 +229,16 @@ def test_external_bad_reply_falls_back(reply):
         result = scoring.Scorer(config).score(b"x")
         assert result.degraded
         assert result.value == 0.0
+    finally:
+        stub.close()
+
+
+def test_external_reply_of_128_bytes_is_read():
+    stub = StubScorer(reply=b" " * 123 + b"0.25\n")
+    try:
+        config = scoring.ScorerConfig(mode="external", endpoint=stub.endpoint)
+        result = scoring.Scorer(config).score(b"x")
+        assert (result.value, result.degraded) == (0.25, False)
     finally:
         stub.close()
 

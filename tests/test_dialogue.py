@@ -7,7 +7,7 @@ from conftest import FixedEntropy, build_core, converse
 from spamfriction import puzzle as pow
 from spamfriction import smtp
 from spamfriction.clock import SystemClock
-from spamfriction.policy import PolicyConfig
+from spamfriction.policy import PolicyConfig, SinBinConfig
 from spamfriction.smtp import ClientConfig, Message, SendStatus, ServerSession, send_message, start_server
 from test_protocol import GOLDEN_NONCE, GOLDEN_SOLUTION, GOLDEN_TRANSCRIPT
 
@@ -90,6 +90,27 @@ def test_legacy_reply_is_released_in_memory():
     result = converse(SPAM, ServerSession(core, "10.1.2.3"), ClientConfig(supported_algorithms=(7,)))
     assert result.status is SendStatus.DELIVERED
     assert core.sink.messages[0]["body"] == b"buy spam pills"
+
+
+@pytest.mark.parametrize(
+    "client",
+    [FAST, ClientConfig(supported_algorithms=(7,))],
+    ids=["after-the-receipt", "at-the-legacy-release"],
+)
+def test_sink_fault_gets_a_451_in_memory_and_releases_the_host(client):
+    core = build_core(sinbin=SinBinConfig(max_refusals=1))
+
+    def broken(*args):
+        raise PermissionError("injected fault")
+
+    core.sink.deliver = broken
+    session = ServerSession(core, "10.1.2.3")
+    result = converse(SPAM, session, client)
+    assert (result.status, result.code) == (SendStatus.REJECTED, 451)
+    assert session.state is smtp.SessionState.DONE
+    assert core.traffic.burdened_count("10.1.2.3") == 0
+    assert len(core.store) == 0
+    assert core.sinbin.blocked_until("10.1.2.3", 0.0) is None
 
 
 # -- a finished transaction gives back its puzzle-store slot ---------------------

@@ -674,8 +674,17 @@ class LeapingClock(VirtualClock):
         return self.advance(60.0)
 
 
-@pytest.mark.parametrize("start", ["awaiting-receipt", "delayed"])
-def test_server_fault_releases_the_session_without_a_refusal(monkeypatch, start):
+@pytest.mark.parametrize(
+    "start, fault",
+    [
+        pytest.param("awaiting-receipt", RuntimeError, id="awaiting-receipt"),
+        pytest.param("delayed", RuntimeError, id="delayed"),
+        # an OSError inside the server is a fault too, not the peer hanging up
+        pytest.param("awaiting-receipt", PermissionError, id="awaiting-receipt-oserror"),
+        pytest.param("delayed", PermissionError, id="delayed-oserror"),
+    ],
+)
+def test_server_fault_releases_the_session_without_a_refusal(monkeypatch, start, fault):
     core = build_core(
         clock=LeapingClock(),
         legacy=LegacyPolicy(pre_accept_delay=30.0),
@@ -684,7 +693,7 @@ def test_server_fault_releases_the_session_without_a_refusal(monkeypatch, start)
     core.entropy = FixedEntropy(int(GOLDEN_NONCE))
 
     def broken(*args):
-        raise RuntimeError("injected fault")
+        raise fault("injected fault")
 
     # a receipt faults in AWAITING_RECEIPT; the release of the withheld
     # reply faults in DELAYED
@@ -781,6 +790,26 @@ def test_scorer_fault_gets_a_451(monkeypatch):
     replies = converse(core, wire([*pow_transaction(), *HAM_BODY, "."]))
     assert replies[-1] == b"451 Requested action aborted: local error in processing\r\n"
     assert not core.sink.messages
+
+
+@pytest.mark.parametrize("fault", [RuntimeError, PermissionError])
+def test_sink_fault_gets_a_451_after_the_pipelined_replies(monkeypatch, fault):
+    core = build_core()
+
+    def broken(*args):
+        raise fault("injected fault")
+
+    monkeypatch.setattr(core.sink, "deliver", broken)
+    # the whole transaction arrives in one read, so one feed builds every reply
+    replies = converse(core, wire([*pow_transaction(), *HAM_BODY, "."]))
+    assert replies[0] == b"250 ESMTP Server Ready\r\n"
+    assert replies[-5:] == [
+        b"250 OK\r\n",
+        b"250 OK\r\n",
+        b"250 Accepted\r\n",
+        b'354 Enter message, ending with "." on a line by itself\r\n',
+        b"451 Requested action aborted: local error in processing\r\n",
+    ]
 
 
 # -- framing: bytes in, lines to handle_line -----------------------------------------
@@ -938,6 +967,14 @@ def test_read_reply_multiline():
     code, lines = read_reply(stream)
     assert code == 250
     assert lines == ["250-one", "250-two", "250 three"]
+
+
+def test_read_reply_takes_a_bare_code():
+    assert read_reply(io.BytesIO(b"250\r\n")) == (250, ["250"])
+    assert read_reply(io.BytesIO(b"250-one\r\n354\r\n")) == (354, ["250-one", "354"])
+    # a latin-1 superscript digit is no reply code
+    with pytest.raises(ConnectionError):
+        read_reply(io.BytesIO(b"25\xb2 OK\r\n"))
 
 
 def test_read_reply_eof_raises():
