@@ -8,13 +8,12 @@ Difficulty is whole bits, so each step doubles the expected work.
 
 Replay protection is not part of the puzzle itself: the server keeps each
 outstanding puzzle in an :class:`IssuedPuzzleStore`, which accepts its nonce
-at most once, until the puzzle is released or expires.
+at most once, until the puzzle is released.
 """
 from __future__ import annotations
 
 import enum
 import hashlib
-import heapq
 import math
 import random
 import threading
@@ -234,13 +233,11 @@ class IssuedPuzzleStore:
     """Nonce -> issued puzzle map with single-use consumption.
 
     Concurrent issue/verify is safe; consumption is check-and-set under one
-    lock so a nonce can never verify twice.  Capacity-bound: when full, the
-    entry that expired first is evicted, found at the top of a heap of
-    ``(expires_at, nonce)``, and if nothing has expired yet the issuance is
-    refused (overload signal).  Consumed nonces stay until released or
-    evicted, so a replay within the puzzle's lifetime reads as ``REPLAYED``.
-    A released puzzle leaves its heap entry behind; such stale entries are
-    skipped at the top and dropped whenever they outnumber the live ones.
+    lock so a nonce can never verify twice.  Capacity-bound: a full store
+    refuses to issue (overload signal) until a puzzle is released.  The
+    session that issued a puzzle releases it when its transaction ends or
+    the puzzle expires, so the store keeps no timer of its own.  A consumed
+    nonce stays until released, so a replay reads as ``REPLAYED``.
     """
 
     def __init__(self, capacity: int = 10_000):
@@ -249,7 +246,6 @@ class IssuedPuzzleStore:
         self.capacity = capacity
         self._puzzles: dict[str, Puzzle] = {}
         self._consumed: set[str] = set()
-        self._expiries: list[tuple[float, str]] = []  # heap, one entry per puzzle
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -264,36 +260,32 @@ class IssuedPuzzleStore:
         with self._lock:
             if puzzle.nonce in self._puzzles:
                 raise ValueError(f"nonce {puzzle.nonce} already issued")
-            self._add(puzzle, now)
+            self._add(puzzle)
+
+    def issue(self, entropy: random.Random, algorithm: int, difficulty: int, now: float, ttl: float) -> Puzzle:
+        """Draw an unused 18-digit nonce from ``entropy`` and register a
+        puzzle under it that expires ``ttl`` seconds after ``now``."""
+        with self._lock:
+            for _ in range(32):
+                nonce = str(entropy.randrange(10**17, 10**18))
+                if nonce not in self._puzzles:
+                    puzzle = Puzzle(algorithm, difficulty, nonce, issued_at=now, expires_at=now + ttl)
+                    return self._add(puzzle)
+        raise StoreFullError("could not draw an unused nonce")
 
     def release(self, nonce: str) -> None:
-        """Forget a puzzle whose transaction has ended, consumed or not."""
+        """Forget a puzzle whose transaction has ended or that has expired,
+        consumed or not."""
         with self._lock:
-            if self._puzzles.pop(nonce, None) is None:
-                return
+            self._puzzles.pop(nonce, None)
             self._consumed.discard(nonce)
-            if len(self._expiries) > 2 * len(self._puzzles):
-                self._expiries = [(p.expires_at, n) for n, p in self._puzzles.items()]
-                heapq.heapify(self._expiries)
 
-    def _add(self, puzzle: Puzzle, now: float) -> None:
+    def _add(self, puzzle: Puzzle) -> Puzzle:
         # caller holds the lock and has checked that the nonce is new
-        entry = (puzzle.expires_at, puzzle.nonce)
         if len(self._puzzles) >= self.capacity:
-            while True:
-                expires_at, nonce = self._expiries[0]
-                issued = self._puzzles.get(nonce)
-                if issued is not None and issued.expires_at == expires_at:
-                    break
-                heapq.heappop(self._expiries)  # left behind by a release
-            if expires_at > now:
-                raise StoreFullError(f"{len(self._puzzles)} live puzzles outstanding")
-            heapq.heapreplace(self._expiries, entry)
-            del self._puzzles[nonce]
-            self._consumed.discard(nonce)
-        else:
-            heapq.heappush(self._expiries, entry)
+            raise StoreFullError(f"{len(self._puzzles)} puzzles outstanding")
         self._puzzles[puzzle.nonce] = puzzle
+        return puzzle
 
     def verify_and_consume(self, receipt: Receipt, now: float) -> VerifyOutcome:
         """Accept iff the nonce was issued, is unexpired and unconsumed, the
@@ -342,14 +334,7 @@ def generate_challenge(
         entropy = _SYSTEM_RANDOM
     if now is None:
         now = time.time()
-    with store._lock:
-        for _ in range(32):
-            nonce = str(entropy.randrange(10**17, 10**18))
-            if nonce not in store._puzzles:
-                puzzle = Puzzle(algorithm, difficulty, nonce, issued_at=now, expires_at=now + ttl)
-                store._add(puzzle, now)
-                return puzzle
-    raise StoreFullError("could not draw an unused nonce")
+    return store.issue(entropy, algorithm, difficulty, now, ttl)
 
 
 class CalibrationResult(NamedTuple):

@@ -250,14 +250,13 @@ class ServerSession:
     """One SMTP session: a state machine fed the bytes of one connection.
 
     ``feed`` splits them into CRLF-stripped lines for ``handle_line``, which
-    returns the reply lines to send (without CRLF).  While the session is in
-    DELAYED state the transport must call ``poll`` once the withheld reply is
-    due; ``next_release`` says when.
+    returns the reply lines to send (without CRLF).  The session has one
+    timer, ``next_release``: the transport calls ``poll`` once it is due.
 
     Time is an argument: every call takes ``now``, and no clock is read.
     Nothing is raised: a fault inside the server, an ``OSError`` from the
-    sink included, ends the session with ``451`` after the replies already
-    built, and is not held against the sender.
+    sink included, gets ``451`` after the replies already built and resets
+    the transaction as RSET does; it is not held against the sender.
     """
 
     def __init__(self, core: MailServerCore, peer_host: str):
@@ -341,11 +340,17 @@ class ServerSession:
             return self._fault(now)
 
     def poll(self, now: float) -> list[str]:
-        """Release a withheld legacy reply once its delay has elapsed."""
-        release = self.next_release()
+        """Act on the timer once it is due: release a withheld legacy reply,
+        or give back an expired puzzle's store slot, with no reply, while the
+        session keeps waiting, since a late receipt still earns its reissue."""
+        release = self._release_at
         if release is None or now < release:
             return []
         try:
+            if self.state is SessionState.AWAITING_RECEIPT:
+                self._release_at = None
+                self.core.store.release(self.puzzle.nonce)
+                return []
             pending = self._pending
             withheld = self._withheld
             if pending is not None:
@@ -359,7 +364,8 @@ class ServerSession:
             return self._fault(now)
 
     def next_release(self) -> float | None:
-        return self._release_at if self.state is SessionState.DELAYED else None
+        """When ``poll`` is due: the legacy release or the puzzle's expiry."""
+        return self._release_at
 
     def on_disconnect(self, now: float) -> None:
         """Transport-level EOF, a no-op once DONE.  Dropping the link while a
@@ -367,9 +373,10 @@ class ServerSession:
         self._end_transaction(SessionState.DONE, now, refusal="disconnect")
 
     def _fault(self, now: float) -> list[str]:
-        # the fault is the server's, so no refusal is recorded
+        # the fault is the server's, so no refusal is recorded; 451 ends
+        # the transaction, not the session, so pipelined commands still run
         logger.exception("session with %s failed", self.peer_host)
-        self._end_transaction(SessionState.DONE, now)
+        self._end_transaction(self._idle_state(), now)
         return ["451 Requested action aborted: local error in processing"]
 
     # -- command handlers ----------------------------------------------------
@@ -456,9 +463,12 @@ class ServerSession:
         return ['354 Enter message, ending with "." on a line by itself']
 
     def _handle_rset(self, rest: str, now: float) -> list[str]:
-        greeted = self.state is SessionState.GREETED
-        self._end_transaction(SessionState.GREETED if greeted else SessionState.READY, now, refusal="rset")
+        self._end_transaction(self._idle_state(), now, refusal="rset")
         return ["250 OK"]
+
+    def _idle_state(self) -> SessionState:
+        # where a reset transaction leaves the session: no hello yet, or READY
+        return SessionState.GREETED if self.state is SessionState.GREETED else SessionState.READY
 
     def _handle_quit(self, now: float) -> list[str]:
         self._end_transaction(SessionState.DONE, now, refusal="quit")
@@ -574,6 +584,7 @@ class ServerSession:
             now=now,
         )
         self.puzzle = challenge
+        self._release_at = challenge.expires_at
         return challenge
 
     # -- receipt verification --------------------------------------------------
@@ -587,7 +598,9 @@ class ServerSession:
         if receipt.puzzle.nonce != self.puzzle.nonce:
             # replayed or fabricated receipt: no second chance
             return self._fail_receipt(now, "wrong-nonce")
-        outcome = self.core.store.verify_and_consume(receipt, now)
+        # expiry is the session's record: the store may have given back the slot
+        expired = self.puzzle.expires_at <= now
+        outcome = pow.VerifyOutcome.EXPIRED if expired else self.core.store.verify_and_consume(receipt, now)
         if outcome is pow.VerifyOutcome.ACCEPTED:
             pending = self._pending
             assert pending is not None
@@ -693,9 +706,9 @@ class ServerSession:
 def serve_connection(core: MailServerCore, conn: socket.socket, peer_host: str) -> None:
     """Pump one connection through a ServerSession until QUIT or EOF.
 
-    The socket is read even while a legacy reply is withheld, with a timeout
-    that ends at its release, so a QUIT or a hang-up during the delay is
-    seen at once.
+    The socket is read even while the session's timer runs, with a timeout
+    that ends at ``next_release``, so a QUIT or a hang-up during a legacy
+    delay is seen at once.
     """
     session = ServerSession(core, peer_host)
     try:

@@ -48,6 +48,35 @@ def test_malformed_puzzle_is_a_rejection_that_still_quits():
     assert "malformed puzzle" in result.detail
 
 
+REJECTED, REFUSED = SendStatus.REJECTED, SendStatus.REFUSED_BURDEN
+
+
+@pytest.mark.parametrize(
+    "replies, status, code, detail",
+    [
+        pytest.param([(421, ["421 busy"])], REJECTED, 421, "rejected at greeting", id="greeting-4xx"),
+        pytest.param([(554, ["554 no"])], REJECTED, 554, "rejected at greeting", id="greeting-5xx"),
+        pytest.param([*UP_TO_DATA[:2], (502, ["502 no"])], REJECTED, 502, "POW ISUPPORT rejected", id="isupport"),
+        pytest.param([*UP_TO_DATA[:3], (550, ["550 no sender"])], REJECTED, 550, "550 no sender", id="mail"),
+        pytest.param([*UP_TO_DATA[:4], (550, ["550 no user"])], REJECTED, 550, "550 no user", id="rcpt"),
+        pytest.param([*UP_TO_DATA[:5], (554, ["554 no data"])], REJECTED, 554, "554 no data", id="data"),
+        pytest.param(
+            [*UP_TO_DATA, (211, ["211 POW Required (SPAM) 7:8:123"])],
+            REFUSED,
+            None,
+            "unsupported algorithm 7",
+            id="unsupported-algorithm",
+        ),
+    ],
+)
+def test_refusals_end_the_dialogue(replies, status, code, detail):
+    past_greeting = len(replies) > 1
+    sent, result = script(smtp.client_dialogue(SPAM, FAST), replies + [(221, ["221 bye"])] * past_greeting)
+    assert (result.status, result.code, result.detail) == (status, code, detail)
+    # past the greeting, every outcome still says QUIT
+    assert sent[-1] == (["QUIT"] if past_greeting else [])
+
+
 def test_only_the_final_quit_forgives_a_transport_error():
     dialogue = smtp.client_dialogue(SPAM, FAST)
     next(dialogue)

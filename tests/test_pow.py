@@ -255,71 +255,38 @@ def test_store_rejects_downgraded_difficulty():
     assert store.verify_and_consume(downgraded, now=1.0) is pow.VerifyOutcome.BAD_SOLUTION
 
 
-def test_store_capacity_and_expired_eviction():
+def test_full_store_refuses_until_a_release():
     store = pow.IssuedPuzzleStore(capacity=2)
     make_issued(store, nonce="1", now=0.0, ttl=10.0)
     make_issued(store, nonce="2", now=0.0, ttl=100.0)
-    with pytest.raises(pow.StoreFullError):
-        make_issued(store, nonce="3", now=5.0, ttl=100.0)
-    # once the first entry expires it may be evicted to make room
-    make_issued(store, nonce="3", now=20.0, ttl=100.0)
-    assert "1" not in store
-    assert "2" in store and "3" in store
+    # expiry frees no slot: the session that issued the puzzle gives it back
+    for now in (5.0, 500.0):
+        with pytest.raises(pow.StoreFullError):
+            make_issued(store, nonce="3", now=now)
+        with pytest.raises(pow.StoreFullError):
+            pow.generate_challenge(store, now=now)
+    store.release("1")
+    make_issued(store, nonce="3", now=500.0)
+    assert len(store) == 2 and "1" not in store
+    store.release("3")
+    # issuing and releasing in turn never fills the store
+    for i in range(1000):
+        store.release(pow.generate_challenge(store, difficulty=0, now=float(i)).nonce)
+    assert len(store) == 1
 
 
-def test_full_store_evicts_the_entry_that_expires_first():
-    store = pow.IssuedPuzzleStore(capacity=2)
-    make_issued(store, nonce="1", now=0.0, ttl=100.0)
-    make_issued(store, nonce="2", now=0.0, ttl=10.0)
-    # "2" was inserted last but expired first
-    make_issued(store, nonce="3", now=50.0, ttl=100.0)
-    assert "2" not in store
-    assert "1" in store and "3" in store
-    # "1" and "3" are both live until 100.0: nothing to evict
-    with pytest.raises(pow.StoreFullError):
-        make_issued(store, nonce="4", now=60.0, ttl=100.0)
-    make_issued(store, nonce="4", now=100.0, ttl=100.0)
-    assert "1" not in store and "3" in store
-
-
-def test_evicted_consumed_nonce_is_unknown():
+def test_released_consumed_nonce_is_unknown_and_starts_fresh():
     store = pow.IssuedPuzzleStore(capacity=1)
     p = make_issued(store, difficulty=8, ttl=10.0)
     receipt = pow.solve(p)
     assert store.verify_and_consume(receipt, now=1.0) is pow.VerifyOutcome.ACCEPTED
-    make_issued(store, nonce="2", now=20.0)
-    assert store.verify_and_consume(receipt, now=20.0) is pow.VerifyOutcome.UNKNOWN_NONCE
-    # re-issuing the evicted nonce starts it unconsumed
+    store.release(p.nonce)
+    store.release(p.nonce)  # releasing twice is harmless
+    assert len(store) == 0 and p.nonce not in store
+    assert store.verify_and_consume(receipt, now=2.0) is pow.VerifyOutcome.UNKNOWN_NONCE
+    # re-registering the released nonce starts it unconsumed
     make_issued(store, difficulty=8, now=200.0, ttl=10.0)
     assert store.verify_and_consume(receipt, now=201.0) is pow.VerifyOutcome.ACCEPTED
-
-
-def test_released_nonce_is_forgotten_and_eviction_skips_it():
-    store = pow.IssuedPuzzleStore(capacity=3)
-    p = make_issued(store, difficulty=8, nonce="1", now=0.0, ttl=10.0)
-    receipt = pow.solve(p)
-    assert store.verify_and_consume(receipt, now=1.0) is pow.VerifyOutcome.ACCEPTED
-    make_issued(store, nonce="2", now=0.0, ttl=20.0)
-    make_issued(store, nonce="3", now=0.0, ttl=100.0)
-    store.release("1")
-    store.release("1")  # releasing twice is harmless
-    assert len(store) == 2 and "1" not in store
-    assert store.verify_and_consume(receipt, now=2.0) is pow.VerifyOutcome.UNKNOWN_NONCE
-    make_issued(store, nonce="4", now=5.0, ttl=100.0)
-    # full: the top of the heap is the released "1", and "2" is the entry to evict
-    make_issued(store, nonce="5", now=50.0, ttl=100.0)
-    assert "2" not in store
-    assert "3" in store and "4" in store and "5" in store
-
-
-def test_issue_and_release_keep_the_expiry_heap_bounded():
-    store = pow.IssuedPuzzleStore(capacity=10)
-    for _ in range(5):
-        pow.generate_challenge(store, difficulty=0, now=0.0)
-    for i in range(100_000):
-        store.release(pow.generate_challenge(store, difficulty=0, now=float(i)).nonce)
-    assert len(store) == 5
-    assert len(store._expiries) <= 2 * len(store)
 
 
 def test_store_duplicate_nonce_rejected():

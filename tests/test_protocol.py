@@ -445,6 +445,58 @@ def test_reissue_into_full_store_releases_the_host():
     assert submit_body(session, HAM_BODY)[0].startswith("250 OK")
 
 
+def test_first_issue_into_full_store_gets_452():
+    core = build_core(sinbin=SinBinConfig(max_refusals=1, window=10.0, block_duration=100.0))
+    core.store = pow.IssuedPuzzleStore(1)
+    pow.generate_challenge(core.store, difficulty=8, now=0.0)  # another session's live puzzle
+    session = make_session(core)
+    negotiate(session)
+    send_envelope(session)
+    assert submit_body(session, SPAM_BODY) == ["452 Too many outstanding puzzles, try again later"]
+    assert session.state is SessionState.READY
+    assert session.puzzle is None and session.next_release() is None
+    assert core.traffic.burdened_count("10.1.2.3") == 0
+    assert core.sinbin.blocked_until("10.1.2.3", 1.0) is None
+    assert len(core.store) == 1
+
+
+@pytest.mark.parametrize("capacity, late_reply", [(10, "211"), (1, "452")])
+def test_late_receipt_does_not_depend_on_other_sessions(capacity, late_reply):
+    core = build_core(
+        server=ServerConfig(hostname="r.example", puzzle_ttl=60.0),
+        sinbin=SinBinConfig(max_refusals=1, window=3600.0, block_duration=100.0),
+    )
+    core.store = pow.IssuedPuzzleStore(capacity)
+    a, challenge = setup_awaiting(core, host="10.0.0.1")
+    # the transport polls A when its timer is due: the puzzle's expiry
+    assert a.next_release() == a.puzzle.expires_at == 60.0
+    assert a.poll(60.0) == []
+    assert len(core.store) == 0 and a.next_release() is None
+    assert a.state is SessionState.AWAITING_RECEIPT
+    assert a.poll(60.0) == []  # the slot is given back once
+    b = make_session(core, "10.0.0.2")
+    negotiate(b, now=100.0)
+    send_envelope(b, now=100.0)
+    assert submit_body(b, SPAM_BODY, now=100.0)[0].startswith("211 ")
+    receipt = pow.solve(challenge)
+    replies = a.handle_line(f"POW RECEIPT {receipt.wire}", 100.0)
+    # an honest slow solver earns its reissue, or a 452 when the store has no room
+    assert replies[0][:3] == late_reply
+    assert core.sinbin.blocked_until("10.0.0.1", 100.0) is None
+    assert b.state is SessionState.AWAITING_RECEIPT and b.puzzle.nonce in core.store
+
+
+def test_two_burdened_sessions_of_one_host_leave_one_at_a_time():
+    core = build_core()
+    first, _ = setup_awaiting(core)
+    second, _ = setup_awaiting(core)
+    assert core.traffic.burdened_count("10.1.2.3") == 2
+    first.handle_line("QUIT", 0.0)
+    assert core.traffic.burdened_count("10.1.2.3") == 1
+    second.on_disconnect(0.0)
+    assert core.traffic.burdened_count("10.1.2.3") == 0
+
+
 # -- legacy senders ---------------------------------------------------------------
 
 
@@ -800,15 +852,36 @@ def test_sink_fault_gets_a_451_after_the_pipelined_replies(monkeypatch, fault):
         raise fault("injected fault")
 
     monkeypatch.setattr(core.sink, "deliver", broken)
-    # the whole transaction arrives in one read, so one feed builds every reply
-    replies = converse(core, wire([*pow_transaction(), *HAM_BODY, "."]))
+    # the whole transaction arrives in one read, so one feed builds every
+    # reply; 451 ends the transaction, so the pipelined QUIT is answered
+    replies = converse(core, wire([*pow_transaction(), *HAM_BODY, ".", "QUIT"]))
     assert replies[0] == b"250 ESMTP Server Ready\r\n"
-    assert replies[-5:] == [
+    assert replies[-6:] == [
         b"250 OK\r\n",
         b"250 OK\r\n",
         b"250 Accepted\r\n",
         b'354 Enter message, ending with "." on a line by itself\r\n',
         b"451 Requested action aborted: local error in processing\r\n",
+        b"221 receiving-mail.com closing connection\r\n",
+    ]
+
+
+def test_fault_resets_the_transaction_as_rset_does(monkeypatch):
+    def broken(self, rest, now):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setitem(ServerSession._COMMANDS, "NOOP", broken)
+    session = make_session(build_core())
+    replies = session.feed(wire(["NOOP", "MAIL FROM: a@b", "HELO a.example", "NOOP", "MAIL FROM: a@b", "QUIT"]), 0.0)
+    fault = b"451 Requested action aborted: local error in processing\r\n"
+    # before a hello the session stays GREETED, after it READY
+    assert replies.splitlines(keepends=True) == [
+        fault,
+        b"503 Bad sequence of commands\r\n",
+        b"250 receiving-mail.com Hello a.example [10.1.2.3]\r\n",
+        fault,
+        b"250 OK\r\n",
+        b"221 receiving-mail.com closing connection\r\n",
     ]
 
 
@@ -1147,11 +1220,12 @@ def test_session_fault_counts_as_disconnect(monkeypatch):
         assert code == 211
         assert core.traffic.burdened_count("127.0.0.1") == 1
         conn.sendall(f"POW RECEIPT {lines[-1].rsplit(' ', 1)[-1]}:1\r\n".encode())
-        # the fault still gets a reply, and the server drops the link only
-        # after releasing the session's state
+        # the fault still gets a reply, sent after the session's state is released
         assert rfile.readline() == b"451 Requested action aborted: local error in processing\r\n"
-        assert rfile.readline() == b""
         assert core.traffic.burdened_count("127.0.0.1") == 0
+        conn.sendall(b"QUIT\r\n")
+        assert rfile.readline() == b"221 receiving-mail.com closing connection\r\n"
+        assert rfile.readline() == b""
         # the fault is the server's: no refusal is held against the host
         assert core.sinbin.blocked_until("127.0.0.1", time.time()) is None
         rfile.close()
@@ -1159,6 +1233,35 @@ def test_session_fault_counts_as_disconnect(monkeypatch):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_expired_puzzle_gives_back_its_slot_while_the_sender_waits():
+    core = build_core(clock=SystemClock(), server=ServerConfig(hostname="r.example", puzzle_ttl=0.3))
+    server, addr = start_server(core)
+    try:
+        with socket.create_connection(addr, timeout=10) as conn, conn.makefile("rb") as rfile:
+            read_reply(rfile)
+            conn.sendall(wire([*pow_transaction(), *SPAM_BODY, "."]))
+            for _ in range(6):
+                code, lines = read_reply(rfile)
+            assert code == 211
+            deadline = time.monotonic() + 5
+            while len(core.store):
+                assert time.monotonic() < deadline, "the expired puzzle kept its store slot"
+                time.sleep(0.01)
+            # still connected: the late receipt earns its reissue, which delivers
+            receipt = pow.solve(pow.parse_puzzle(lines[-1].rsplit(" ", 1)[-1]))
+            conn.sendall(wire([f"POW RECEIPT {receipt.wire}"]))
+            code, lines = read_reply(rfile)
+            assert code == 211
+            receipt = pow.solve(pow.parse_puzzle(lines[-1].rsplit(" ", 1)[-1]))
+            conn.sendall(wire([f"POW RECEIPT {receipt.wire}", "QUIT"]))
+            assert read_reply(rfile)[1][0].startswith("250 OK id=")
+            assert read_reply(rfile)[0] == 221
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(core.sink.messages) == 1
 
 
 def test_client_gives_up_when_the_solution_lies_beyond_its_budget():
