@@ -255,38 +255,77 @@ def test_store_rejects_downgraded_difficulty():
     assert store.verify_and_consume(downgraded, now=1.0) is pow.VerifyOutcome.BAD_SOLUTION
 
 
-def test_full_store_refuses_until_a_release():
+def test_store_capacity_and_expired_eviction():
     store = pow.IssuedPuzzleStore(capacity=2)
     make_issued(store, nonce="1", now=0.0, ttl=10.0)
     make_issued(store, nonce="2", now=0.0, ttl=100.0)
-    # expiry frees no slot: the session that issued the puzzle gives it back
+    # expiry evicts nothing: the session that issued the puzzle gives it back
     for now in (5.0, 500.0):
         with pytest.raises(pow.StoreFullError):
             make_issued(store, nonce="3", now=now)
         with pytest.raises(pow.StoreFullError):
             pow.generate_challenge(store, now=now)
+    assert "1" in store and "2" in store
     store.release("1")
     make_issued(store, nonce="3", now=500.0)
     assert len(store) == 2 and "1" not in store
-    store.release("3")
-    # issuing and releasing in turn never fills the store
-    for i in range(1000):
-        store.release(pow.generate_challenge(store, difficulty=0, now=float(i)).nonce)
-    assert len(store) == 1
 
 
-def test_released_consumed_nonce_is_unknown_and_starts_fresh():
+def test_full_store_frees_only_the_released_entry():
+    store = pow.IssuedPuzzleStore(capacity=2)
+    make_issued(store, nonce="1", now=0.0, ttl=100.0)
+    make_issued(store, nonce="2", now=0.0, ttl=10.0)
+    # "2" expired first, but only a release makes room
+    with pytest.raises(pow.StoreFullError):
+        make_issued(store, nonce="3", now=50.0, ttl=100.0)
+    store.release("1")
+    make_issued(store, nonce="3", now=50.0, ttl=100.0)
+    assert "1" not in store
+    assert "2" in store and "3" in store
+
+
+def test_released_consumed_nonce_is_unknown():
     store = pow.IssuedPuzzleStore(capacity=1)
     p = make_issued(store, difficulty=8, ttl=10.0)
     receipt = pow.solve(p)
     assert store.verify_and_consume(receipt, now=1.0) is pow.VerifyOutcome.ACCEPTED
     store.release(p.nonce)
-    store.release(p.nonce)  # releasing twice is harmless
-    assert len(store) == 0 and p.nonce not in store
     assert store.verify_and_consume(receipt, now=2.0) is pow.VerifyOutcome.UNKNOWN_NONCE
     # re-registering the released nonce starts it unconsumed
     make_issued(store, difficulty=8, now=200.0, ttl=10.0)
     assert store.verify_and_consume(receipt, now=201.0) is pow.VerifyOutcome.ACCEPTED
+
+
+def test_released_nonce_is_forgotten_and_a_second_release_is_harmless():
+    store = pow.IssuedPuzzleStore(capacity=3)
+    p = make_issued(store, difficulty=8, nonce="1", now=0.0, ttl=10.0)
+    receipt = pow.solve(p)
+    assert store.verify_and_consume(receipt, now=1.0) is pow.VerifyOutcome.ACCEPTED
+    make_issued(store, nonce="2", now=0.0, ttl=20.0)
+    make_issued(store, nonce="3", now=0.0, ttl=100.0)
+    store.release("1")
+    store.release("1")  # releasing twice is harmless
+    assert len(store) == 2 and "1" not in store
+    assert store.verify_and_consume(receipt, now=2.0) is pow.VerifyOutcome.UNKNOWN_NONCE
+    # the one freed slot is the only room
+    make_issued(store, nonce="4", now=5.0, ttl=100.0)
+    with pytest.raises(pow.StoreFullError):
+        make_issued(store, nonce="5", now=50.0, ttl=100.0)
+    assert "2" in store and "3" in store and "4" in store
+
+
+def test_issue_and_release_keep_the_store_bounded():
+    store = pow.IssuedPuzzleStore(capacity=10)
+    for _ in range(5):
+        pow.generate_challenge(store, difficulty=0, now=0.0)
+    for i in range(100_000):
+        store.release(pow.generate_challenge(store, difficulty=0, now=float(i)).nonce)
+    assert len(store) == 5
+    # the cycles left nothing behind: exactly five slots are still free
+    for _ in range(5):
+        pow.generate_challenge(store, difficulty=0, now=0.0)
+    with pytest.raises(pow.StoreFullError):
+        pow.generate_challenge(store, difficulty=0, now=0.0)
 
 
 def test_store_duplicate_nonce_rejected():
