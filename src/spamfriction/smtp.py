@@ -29,7 +29,7 @@ import socketserver
 import string
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import puzzle as pow
 from .clock import SystemClock
@@ -189,7 +189,6 @@ class MailServerCore:
         config: ServerConfig | None = None,
         policy_config: PolicyConfig | None = None,
         scorer: Scorer | None = None,
-        sinbin: SinBin | None = None,
         store: pow.IssuedPuzzleStore | None = None,
         sink=None,
         clock=None,
@@ -201,7 +200,7 @@ class MailServerCore:
         self.config = ServerConfig() if config is None else config
         self.policy_config = PolicyConfig() if policy_config is None else policy_config
         self.scorer = Scorer(ScorerConfig()) if scorer is None else scorer
-        self.sinbin = SinBin(self.policy_config.sinbin) if sinbin is None else sinbin
+        self.sinbin = SinBin(self.policy_config.sinbin)
         self.store = pow.IssuedPuzzleStore() if store is None else store
         self.sink = sink
         self.clock = SystemClock() if clock is None else clock
@@ -240,10 +239,19 @@ _BURDENED_STATES = frozenset({SessionState.AWAITING_RECEIPT, SessionState.DELAYE
 
 
 @dataclass
-class _PendingMessage:
+class _Transaction:
+    """One mail transaction, from MAIL to its final reply; the session drops
+    it whole when the transaction ends."""
+
     mail_from: str
-    recipients: list[str]
-    body: bytes
+    recipients: list[str] = field(default_factory=list)
+    body: list[bytes] | bytes = field(default_factory=list)  # the lines until ".", then their join
+    size: int = 0  # body bytes received, CRLFs included
+    error: str | None = None  # the reply to "." for a body refused on the way in
+    puzzle: pow.Puzzle | None = None
+    reissued: bool = False
+    release_at: float | None = None  # the session's timer
+    withheld: list[str] | None = None  # a legacy rejection held back for the delay
 
 
 class ServerSession:
@@ -252,6 +260,10 @@ class ServerSession:
     ``feed`` splits them into CRLF-stripped lines for ``handle_line``, which
     returns the reply lines to send (without CRLF).  The session has one
     timer, ``next_release``: the transport calls ``poll`` once it is due.
+
+    Everything a mail transaction holds, from its envelope to its body,
+    puzzle, timer and withheld reply, is one record, ``tx``, made at MAIL
+    and dropped whole when the transaction ends.
 
     Time is an argument: every call takes ``now``, and no clock is read.
     Nothing is raised: a fault inside the server, an ``OSError`` from the
@@ -263,18 +275,8 @@ class ServerSession:
         self.core = core
         self.peer_host = peer_host
         self.state = SessionState.GREETED
-        self.pow_negotiated = False
         self.negotiated_alg: int | None = None
-        self.mail_from: str | None = None
-        self.recipients: list[str] = []
-        self._body_lines: list[bytes] = []
-        self._body_size = 0
-        self._data_error: str | None = None
-        self.puzzle: pow.Puzzle | None = None
-        self._reissued = False
-        self._pending: _PendingMessage | None = None
-        self._release_at: float | None = None
-        self._withheld: list[str] | None = None
+        self.tx: _Transaction | None = None
         self._inbuf = bytearray()  # received bytes of a line not yet ended
         self._discarding = False   # dropping the rest of an over-long line
 
@@ -343,29 +345,28 @@ class ServerSession:
         """Act on the timer once it is due: release a withheld legacy reply,
         or give back an expired puzzle's store slot, with no reply, while the
         session keeps waiting, since a late receipt still earns its reissue."""
-        release = self._release_at
+        release = self.next_release()
         if release is None or now < release:
             return []
+        tx = self.tx
         try:
             if self.state is SessionState.AWAITING_RECEIPT:
-                self._release_at = None
-                self.core.store.release(self.puzzle.nonce)
+                tx.release_at = None
+                self.core.store.release(tx.puzzle.nonce)
                 return []
-            pending = self._pending
-            withheld = self._withheld
-            if pending is not None:
-                # the acceptance is only uttered now, so delivery happens now
-                self._end_transaction(SessionState.READY, now)
-                return [self._deliver(pending, now, resisted=False)]
-            # the withheld reply was a temporary rejection; end the session
-            self._end_transaction(SessionState.DONE, now)
-            return withheld or []
+            if tx.withheld is not None:
+                # the withheld reply was a temporary rejection; end the session
+                self._end_transaction(SessionState.DONE, now)
+                return tx.withheld
+            # the acceptance is only uttered now, so delivery happens now
+            self._end_transaction(SessionState.READY, now)
+            return [self._deliver(tx, now, resisted=False)]
         except Exception:
             return self._fault(now)
 
     def next_release(self) -> float | None:
         """When ``poll`` is due: the legacy release or the puzzle's expiry."""
-        return self._release_at
+        return None if self.tx is None else self.tx.release_at
 
     def on_disconnect(self, now: float) -> None:
         """Transport-level EOF, a no-op once DONE.  Dropping the link while a
@@ -384,7 +385,6 @@ class ServerSession:
     def _hello(self, now: float, reason: str) -> None:
         # a fresh EHLO or HELO ends any transaction and renegotiates from scratch
         self._end_transaction(SessionState.READY, now, refusal=reason)
-        self.pow_negotiated = False
         self.negotiated_alg = None
 
     def _handle_ehlo(self, arg: str, now: float) -> list[str]:
@@ -422,7 +422,6 @@ class ServerSession:
             except ValueError:
                 return ["501 Malformed algorithm list"]
             usable = self.core.issuable_algorithms(algs)
-            self.pow_negotiated = bool(usable)
             self.negotiated_alg = usable[0] if usable else None
             return ["250 OK"]
         if subverb == "RECEIPT":
@@ -442,7 +441,7 @@ class ServerSession:
         addr = self._parse_path(rest, "FROM")
         if addr is None:
             return ["501 Syntax: MAIL FROM:<address>"]
-        self.mail_from = addr
+        self.tx = _Transaction(addr)
         self.state = SessionState.MAIL_FROM
         return ["250 OK"]
 
@@ -452,7 +451,7 @@ class ServerSession:
         addr = self._parse_path(rest, "TO")
         if addr is None:
             return ["501 Syntax: RCPT TO:<address>"]
-        self.recipients.append(addr)
+        self.tx.recipients.append(addr)
         self.state = SessionState.RCPT_TO
         return ["250 Accepted"]
 
@@ -492,35 +491,35 @@ class ServerSession:
     def _handle_data_line(self, line: str, now: float) -> list[str]:
         if line == ".":
             return self._finish_data(now)
-        if self._data_error is not None:
+        tx = self.tx
+        if tx.error is not None:
             return []
         too_long = len(line) > MAX_LINE_BYTES - 2
         if line.startswith("."):
             line = line[1:]  # transparency: un-stuff the leading dot
-        self._body_size += len(line) + 2
+        tx.size += len(line) + 2
         if too_long:
-            self._data_error = "500 Line too long"
-        elif self._body_size > self.core.config.max_message_bytes:
-            self._data_error = "552 Message size exceeds fixed maximum message size"
+            tx.error = "500 Line too long"
+        elif tx.size > self.core.config.max_message_bytes:
+            tx.error = "552 Message size exceeds fixed maximum message size"
         else:
-            self._body_lines.append(line.encode("latin-1"))
+            tx.body.append(line.encode("latin-1"))
             return []
-        self._body_lines = []
+        tx.body = []
         return []
 
     def _finish_data(self, now: float) -> list[str]:
         core = self.core
-        if self._data_error is not None:
-            error = self._data_error
+        tx = self.tx
+        if tx.error is not None:
             self._end_transaction(SessionState.READY, now)
-            return [error]
-        body = b"\r\n".join(self._body_lines)
-        self._body_lines = []
-        score = core.scorer.score(body)
+            return [tx.error]
+        tx.body = b"\r\n".join(tx.body)
+        score = core.scorer.score(tx.body)
         decision = decide(
             score,
             self.peer_host,
-            self.mail_from or "",
+            tx.mail_from,
             core.policy_config,
             core.sinbin,
             core.rng,
@@ -534,39 +533,37 @@ class ServerSession:
             extra = core.traffic.burdened_count(self.peer_host)
             if extra:
                 decision = Decision.resist(min(pow.MAX_DIFFICULTY, decision.difficulty + extra))
-        message = _PendingMessage(self.mail_from or "", list(self.recipients), body)
         self._log_decision(score, decision, now)
-        if self.pow_negotiated:
-            return self._finish_data_pow(message, decision, now)
-        return self._finish_data_legacy(message, decision, now)
+        if self.negotiated_alg is not None:
+            return self._finish_data_pow(decision, now)
+        return self._finish_data_legacy(decision, now)
 
-    def _finish_data_pow(self, message: _PendingMessage, decision: Decision, now: float) -> list[str]:
+    def _finish_data_pow(self, decision: Decision, now: float) -> list[str]:
         if decision.kind is DecisionKind.BLOCKED:
             self._end_transaction(SessionState.DONE, now)
             return ["421 Service temporarily unavailable, try again later"]
         if decision.kind is DecisionKind.ACCEPT:
+            tx = self.tx
             self._end_transaction(SessionState.READY, now)
-            return [self._deliver(message, now, resisted=False)]
+            return [self._deliver(tx, now, resisted=False)]
         try:
             challenge = self._issue_puzzle(decision.difficulty, now)
         except pow.StoreFullError:
             self._end_transaction(SessionState.READY, now)
             return ["452 Too many outstanding puzzles, try again later"]
-        self._pending = message
         self.core.traffic.enter_burdened(self.peer_host)
         self.state = SessionState.AWAITING_RECEIPT
         return [f"211 POW Required (SPAM) {challenge.wire}"]
 
-    def _finish_data_legacy(self, message: _PendingMessage, decision: Decision, now: float) -> list[str]:
+    def _finish_data_legacy(self, decision: Decision, now: float) -> list[str]:
         # a sender that never negotiated POW cannot solve puzzles; the
         # pre-accept delay is the burden it carries instead, and the reply
         # (acceptance or rejection) is withheld until the delay elapses
         if decision.kind is DecisionKind.BLOCKED:
-            self._withheld = ["421 Service temporarily unavailable, try again later"]
-        else:
-            self._pending = message
+            self.tx.withheld = ["421 Service temporarily unavailable, try again later"]
+            self.tx.body = b""  # never delivered, so not held through the delay
         delay = self.core.legacy.pre_accept_delay
-        self._release_at = now + delay
+        self.tx.release_at = now + delay
         self.core.traffic.enter_burdened(self.peer_host)
         self.state = SessionState.DELAYED
         if delay == 0:
@@ -577,14 +574,14 @@ class ServerSession:
         core = self.core
         challenge = pow.generate_challenge(
             core.store,
-            algorithm=self.negotiated_alg if self.negotiated_alg is not None else pow.ALG_BASELINE,
+            algorithm=self.negotiated_alg,
             difficulty=difficulty,
             ttl=core.config.puzzle_ttl,
             entropy=core.entropy,
             now=now,
         )
-        self.puzzle = challenge
-        self._release_at = challenge.expires_at
+        self.tx.puzzle = challenge
+        self.tx.release_at = challenge.expires_at
         return challenge
 
     # -- receipt verification --------------------------------------------------
@@ -594,22 +591,20 @@ class ServerSession:
             receipt = pow.parse_receipt(arg)
         except pow.WireFormatError:
             return ["501 Malformed POW receipt"]
-        assert self.puzzle is not None
-        if receipt.puzzle.nonce != self.puzzle.nonce:
+        tx = self.tx
+        if receipt.puzzle.nonce != tx.puzzle.nonce:
             # replayed or fabricated receipt: no second chance
             return self._fail_receipt(now, "wrong-nonce")
         # expiry is the session's record: the store may have given back the slot
-        expired = self.puzzle.expires_at <= now
+        expired = tx.puzzle.expires_at <= now
         outcome = pow.VerifyOutcome.EXPIRED if expired else self.core.store.verify_and_consume(receipt, now)
         if outcome is pow.VerifyOutcome.ACCEPTED:
-            pending = self._pending
-            assert pending is not None
             self._end_transaction(SessionState.READY, now)
-            return [self._deliver(pending, now, resisted=True)]
-        if outcome in (pow.VerifyOutcome.BAD_SOLUTION, pow.VerifyOutcome.EXPIRED) and not self._reissued:
+            return [self._deliver(tx, now, resisted=True)]
+        if outcome in (pow.VerifyOutcome.BAD_SOLUTION, pow.VerifyOutcome.EXPIRED) and not tx.reissued:
             # one fresh chance for an honest solver that fumbled or ran long
-            self._reissued = True
-            replaced = self.puzzle
+            tx.reissued = True
+            replaced = tx.puzzle
             try:
                 challenge = self._issue_puzzle(replaced.difficulty, now)
             except pow.StoreFullError:
@@ -626,17 +621,17 @@ class ServerSession:
 
     # -- shared helpers --------------------------------------------------------
 
-    def _deliver(self, message: _PendingMessage, now: float, resisted: bool) -> str:
+    def _deliver(self, tx: _Transaction, now: float, resisted: bool) -> str:
         core = self.core
         message_id = core.new_message_id()
         if core.sink is not None:
-            core.sink.deliver(message.mail_from, message.recipients, message.body, message_id, now)
+            core.sink.deliver(tx.mail_from, tx.recipients, tx.body, message_id, now)
         core.sinbin.record_success(self.peer_host)
         logger.info(
             "outcome=delivered peer=%s from=%s rcpts=%d resisted=%s id=%s",
             self.peer_host,
-            message.mail_from,
-            len(message.recipients),
+            tx.mail_from,
+            len(tx.recipients),
             "yes" if resisted else "no",
             message_id,
         )
@@ -648,12 +643,12 @@ class ServerSession:
             "decision ts=%.3f peer=%s from=%s score=%.4f degraded=%s decision=%s difficulty=%s pow=%s",
             now,
             self.peer_host,
-            self.mail_from or "",
+            self.tx.mail_from,
             score.value,
             "yes" if score.degraded else "no",
             decision.kind.value,
             difficulty,
-            "yes" if self.pow_negotiated else "no",
+            "yes" if self.negotiated_alg is not None else "no",
         )
 
     def _end_transaction(self, state: SessionState, now: float, refusal: str | None = None) -> None:
@@ -661,27 +656,18 @@ class ServerSession:
 
         Walking away from an outstanding puzzle with ``refusal`` set counts
         as declining the burden.  The host's burdened slot and the puzzle's
-        store entry are released, and the puzzle, the pending message, the
-        withheld reply and the envelope are dropped before the session moves
-        to ``state``.
+        store entry are released, and the transaction is dropped whole
+        before the session moves to ``state``.
         """
-        if self.puzzle is not None:
+        tx = self.tx
+        if tx is not None and tx.puzzle is not None:
             if refusal is not None:
                 self.core.sinbin.record_refusal(self.peer_host, now)
                 logger.info("outcome=refused peer=%s reason=%s", self.peer_host, refusal)
-            self.core.store.release(self.puzzle.nonce)
+            self.core.store.release(tx.puzzle.nonce)
         if self.state in _BURDENED_STATES:
             self.core.traffic.leave_burdened(self.peer_host)
-        self.puzzle = None
-        self._reissued = False
-        self._pending = None
-        self._withheld = None
-        self._release_at = None
-        self.mail_from = None
-        self.recipients = []
-        self._body_lines = []
-        self._body_size = 0
-        self._data_error = None
+        self.tx = None
         self.state = state
 
     _COMMANDS = {

@@ -2,6 +2,7 @@
 import io
 import re
 import socket
+import struct
 import threading
 import time
 
@@ -171,8 +172,8 @@ def test_angle_bracket_addresses_accepted(session):
     session.handle_line("EHLO x.example", 0.0)
     assert session.handle_line("MAIL FROM: <a@b.example>", 0.0) == ["250 OK"]
     assert session.handle_line("RCPT TO:<c@d.example>", 0.0) == ["250 Accepted"]
-    assert session.mail_from == "a@b.example"
-    assert session.recipients == ["c@d.example"]
+    assert session.tx.mail_from == "a@b.example"
+    assert session.tx.recipients == ["c@d.example"]
 
 
 def test_pow_receipt_before_any_puzzle(session):
@@ -210,7 +211,6 @@ def test_pow_disabled_server_hides_capability():
 def test_negotiation_picks_common_algorithm(session):
     session.handle_line("EHLO x.example", 0.0)
     assert session.handle_line("POW ISUPPORT ALG0, ALG1, ALG4", 0.0) == ["250 OK"]
-    assert session.pow_negotiated
     assert session.negotiated_alg == 0
 
 
@@ -218,7 +218,7 @@ def test_no_common_algorithm_falls_back_to_legacy(session):
     session.handle_line("EHLO x.example", 0.0)
     # advertised but not locally implemented algorithms do not count
     assert session.handle_line("POW ISUPPORT ALG1, ALG2", 0.0) == ["250 OK"]
-    assert not session.pow_negotiated
+    assert session.negotiated_alg is None
     send_envelope(session)
     assert submit_body(session, SPAM_BODY) == []
     assert session.state is SessionState.DELAYED
@@ -226,9 +226,9 @@ def test_no_common_algorithm_falls_back_to_legacy(session):
 
 def test_ehlo_resets_negotiation(session):
     negotiate(session)
-    assert session.pow_negotiated
+    assert session.negotiated_alg == 0
     session.handle_line("EHLO x.example", 0.0)
-    assert not session.pow_negotiated
+    assert session.negotiated_alg is None
     send_envelope(session)
     submit_body(session, SPAM_BODY)
     assert session.state is SessionState.DELAYED  # legacy handling again
@@ -238,7 +238,7 @@ def test_malformed_isupport_rejected(session):
     session.handle_line("EHLO x.example", 0.0)
     assert session.handle_line("POW ISUPPORT", 0.0)[0].startswith("501")
     assert session.handle_line("POW ISUPPORT ALGX", 0.0)[0].startswith("501")
-    assert not session.pow_negotiated
+    assert session.negotiated_alg is None
 
 
 # -- scoring and the resistance decision ---------------------------------------------
@@ -437,7 +437,7 @@ def test_reissue_into_full_store_releases_the_host():
         "452 Too many outstanding puzzles, try again later"
     ]
     assert session.state is SessionState.READY
-    assert session.puzzle is None
+    assert session.tx is None
     assert core.traffic.burdened_count("10.1.2.3") == 0
     # the overload is the server's: no refusal is held against the host
     assert core.sinbin.blocked_until("10.1.2.3", 1.0) is None
@@ -454,7 +454,7 @@ def test_first_issue_into_full_store_gets_452():
     send_envelope(session)
     assert submit_body(session, SPAM_BODY) == ["452 Too many outstanding puzzles, try again later"]
     assert session.state is SessionState.READY
-    assert session.puzzle is None and session.next_release() is None
+    assert session.tx is None and session.next_release() is None
     assert core.traffic.burdened_count("10.1.2.3") == 0
     assert core.sinbin.blocked_until("10.1.2.3", 1.0) is None
     assert len(core.store) == 1
@@ -469,7 +469,7 @@ def test_late_receipt_does_not_depend_on_other_sessions(capacity, late_reply):
     core.store = pow.IssuedPuzzleStore(capacity)
     a, challenge = setup_awaiting(core, host="10.0.0.1")
     # the transport polls A when its timer is due: the puzzle's expiry
-    assert a.next_release() == a.puzzle.expires_at == 60.0
+    assert a.next_release() == a.tx.puzzle.expires_at == 60.0
     assert a.poll(60.0) == []
     assert len(core.store) == 0 and a.next_release() is None
     assert a.state is SessionState.AWAITING_RECEIPT
@@ -483,7 +483,7 @@ def test_late_receipt_does_not_depend_on_other_sessions(capacity, late_reply):
     # an honest slow solver earns its reissue, or a 452 when the store has no room
     assert replies[0][:3] == late_reply
     assert core.sinbin.blocked_until("10.0.0.1", 100.0) is None
-    assert b.state is SessionState.AWAITING_RECEIPT and b.puzzle.nonce in core.store
+    assert b.state is SessionState.AWAITING_RECEIPT and b.tx.puzzle.nonce in core.store
 
 
 def test_two_burdened_sessions_of_one_host_leave_one_at_a_time():
@@ -582,8 +582,7 @@ def test_parked_session_holds_its_body_once():
     lines = [f"line {i} meeting friend " + "x" * 1000 for i in range(100)]
     assert submit_body(session, lines) == []
     assert session.state is SessionState.DELAYED
-    assert session._body_lines == []
-    assert session._pending.body == "\r\n".join(lines).encode()
+    assert session.tx.body == "\r\n".join(lines).encode()
 
 
 def test_other_commands_during_delay_deferred():
@@ -652,7 +651,7 @@ def test_awaiting_receipt_also_counts_as_burdened():
     core = build_core()
     session, _ = setup_awaiting(core, host="10.7.7.7")
     assert core.traffic.burdened_count("10.7.7.7") == 1
-    receipt = pow.solve(session.puzzle)
+    receipt = pow.solve(session.tx.puzzle)
     session.handle_line(f"POW RECEIPT {receipt.wire}", 0.0)
     assert core.traffic.burdened_count("10.7.7.7") == 0
 
@@ -661,12 +660,12 @@ def test_awaiting_receipt_also_counts_as_burdened():
 
 
 def _bad_receipt(session):
-    bad = "1" if not pow.verify_hash(session.puzzle, "1") else "2"
-    return f"POW RECEIPT {session.puzzle.wire}:{bad}"
+    bad = "1" if not pow.verify_hash(session.tx.puzzle, "1") else "2"
+    return f"POW RECEIPT {session.tx.puzzle.wire}:{bad}"
 
 
 def _forged_receipt(session):
-    return f"POW RECEIPT {pow.solve(pow.Puzzle(0, session.puzzle.difficulty, '42')).wire}"
+    return f"POW RECEIPT {pow.solve(pow.Puzzle(0, session.tx.puzzle.difficulty, '42')).wire}"
 
 
 def _delayed_session(core):
@@ -690,7 +689,7 @@ BURDENED_EXITS = {
     "eof": (lambda s: s.on_disconnect(0.0), None),
     "554": (lambda s: s.handle_line(_forged_receipt(s), 0.0), "554"),
     "452-reissue": (lambda s: s.handle_line(_bad_receipt(s), 0.0), "452"),
-    "accepted": (lambda s: s.handle_line(f"POW RECEIPT {pow.solve(s.puzzle).wire}", 0.0), "250"),
+    "accepted": (lambda s: s.handle_line(f"POW RECEIPT {pow.solve(s.tx.puzzle).wire}", 0.0), "250"),
     "legacy-release": (lambda s: s.poll(30.0), "250"),
 }
 
@@ -713,9 +712,42 @@ def test_every_exit_releases_the_burdened_host(start, exit_name):
     if code is not None:
         assert replies[0][:3] == code
     assert core.traffic.burdened_count("10.1.2.3") == 0
-    assert session.puzzle is None
-    assert session._pending is None and session._withheld is None
+    assert session.tx is None
     assert len(core.store) == 0
+
+
+def _break_sink(core):
+    def broken(*args):
+        raise OSError("injected fault")
+
+    core.sink.deliver = broken
+
+
+# the exits from DATA that no burdened state reaches: (server config, the
+# core's setup, body, reply to ".")
+DATA_EXITS = {
+    "552": (ServerConfig(max_message_bytes=16), None, HAM_BODY,
+            "552 Message size exceeds fixed maximum message size"),
+    "500": (None, None, ["x" * MAX_LINE_BYTES], "500 Line too long"),
+    "421": (None, lambda core: core.sinbin.record_refusal("10.1.2.3", 0.0), SPAM_BODY,
+            "421 Service temporarily unavailable, try again later"),
+    "451": (None, _break_sink, HAM_BODY, "451 Requested action aborted: local error in processing"),
+}
+
+
+@pytest.mark.parametrize("exit_name", DATA_EXITS)
+def test_every_exit_from_data_drops_the_transaction(exit_name):
+    server, setup, body, reply = DATA_EXITS[exit_name]
+    core = build_core(server=server, sinbin=SinBinConfig(max_refusals=1))
+    if setup is not None:
+        setup(core)
+    session = make_session(core)
+    negotiate(session)
+    send_envelope(session)
+    assert submit_body(session, body) == [reply]
+    assert session.tx is None
+    assert len(core.store) == 0
+    assert core.traffic.burdened_count("10.1.2.3") == 0
 
 
 class LeapingClock(VirtualClock):
@@ -773,8 +805,7 @@ def test_server_fault_releases_the_session_without_a_refusal(monkeypatch, start,
     (session,) = sessions
     assert session.state is SessionState.DONE
     assert core.traffic.burdened_count("10.1.2.3") == 0
-    assert session.puzzle is None
-    assert session._pending is None and session._withheld is None
+    assert session.tx is None
     assert core.sinbin.blocked_until("10.1.2.3", 0.0) is None
     assert not core.sink.messages
 
@@ -1233,6 +1264,48 @@ def test_session_fault_counts_as_disconnect(monkeypatch):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_reset_connection_counts_as_disconnect(caplog):
+    core = build_core(clock=SystemClock(), sinbin=SinBinConfig(max_refusals=2))
+    server, addr = start_server(core)
+    finished = threading.Event()
+    errors = []
+    shutdown_request = server.shutdown_request
+
+    def shut_down(request):
+        shutdown_request(request)
+        finished.set()
+
+    server.shutdown_request = shut_down  # called once a connection is served
+    server.handle_error = lambda request, client_address: errors.append(client_address)
+    try:
+        with caplog.at_level("INFO", logger="spamfriction.server"):
+            conn = socket.create_connection(addr, timeout=10)
+            with conn.makefile("rb") as rfile:
+                read_reply(rfile)
+                conn.sendall(wire([*pow_transaction(), *SPAM_BODY, "."]))
+                for _ in range(6):
+                    code, _ = read_reply(rfile)
+            assert code == 211
+            # abort the link: the server's recv gets a reset, not an EOF
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.close()
+            assert finished.wait(10)
+    finally:
+        server.shutdown()
+        server.server_close()
+    # the reset is the peer gone, not a server error
+    assert errors == []
+    assert len(core.store) == 0
+    assert core.traffic.burdened_count("127.0.0.1") == 0
+    refusals = [r.getMessage() for r in caplog.records if "outcome=refused" in r.getMessage()]
+    assert refusals == ["outcome=refused peer=127.0.0.1 reason=disconnect"]
+    # the sin bin holds that one refusal: a second one blocks the host
+    now = time.time()
+    assert core.sinbin.blocked_until("127.0.0.1", now) is None
+    core.sinbin.record_refusal("127.0.0.1", now)
+    assert core.sinbin.blocked_until("127.0.0.1", now) is not None
 
 
 def test_expired_puzzle_gives_back_its_slot_while_the_sender_waits():
