@@ -19,6 +19,7 @@ issued-puzzle store, the sin bin, and the per-host traffic counters.
 from __future__ import annotations
 
 import enum
+import hashlib
 import logging
 import math
 import os
@@ -44,6 +45,10 @@ CRLF = "\r\n"
 # per read; the rest of a longer line is discarded, and the session refuses
 # what it was handed of it
 MAX_LINE_BYTES = 65536
+# RFC 5321 section 4.5.3.1: the longest path, angle brackets included, and
+# the recipients a transaction must take; it takes no more
+MAX_PATH_OCTETS = 256
+MAX_RECIPIENTS = 100
 
 # algorithms this implementation can actually mint and verify locally;
 # the advertised list may be wider for negotiation purposes
@@ -153,8 +158,14 @@ class HostTraffic:
         return not self.overloaded(host)
 
 
+_NAME_MAX = 255  # bytes in a file name on common file systems
+
+
 class MailboxSink:
-    """Append-only mailbox file per recipient under one directory."""
+    """Append-only mailbox file per recipient under one directory.
+
+    ``deliver`` takes the body as ``bytes`` or ``bytearray``; the session
+    hands over the bytearray it received the message into."""
 
     def __init__(self, directory):
         self.directory = str(directory)
@@ -164,6 +175,12 @@ class MailboxSink:
     @staticmethod
     def _mailbox_name(recipient: str) -> str:
         safe = re.sub(r"[^A-Za-z0-9.@+_-]", "_", recipient)
+        if len(safe) > _NAME_MAX - len(".mbox"):
+            # a file name holds at most 255 bytes: keep the start of a longer
+            # one and tell addresses apart by a digest, after a "~" that the
+            # substitution above leaves in no uncut name
+            digest = hashlib.sha256(recipient.encode()).hexdigest()[:32]
+            safe = f"{safe[:_NAME_MAX - len('~.mbox') - len(digest)]}~{digest}"
         return f"{safe}.mbox"
 
     def deliver(self, mail_from: str, recipients, body: bytes, message_id: str, when: float) -> None:
@@ -241,17 +258,19 @@ _BURDENED_STATES = frozenset({SessionState.AWAITING_RECEIPT, SessionState.DELAYE
 @dataclass
 class _Transaction:
     """One mail transaction, from MAIL to its final reply; the session drops
-    it whole when the transaction ends."""
+    it whole when the transaction ends.
+
+    ``body`` is the one copy of the message: each un-stuffed line and its
+    CRLF are appended as they arrive, the last CRLF is dropped at ".", and
+    the scorer and the sink are handed this same bytearray."""
 
     mail_from: str
     recipients: list[str] = field(default_factory=list)
-    body: list[bytes] | bytes = field(default_factory=list)  # the lines until ".", then their join
-    size: int = 0  # body bytes received, CRLFs included
-    error: str | None = None  # the reply to "." for a body refused on the way in
+    body: bytearray = field(default_factory=bytearray)
+    error: str | None = None  # the refusal that ends it: a body's 500/552, a legacy host's 421
     puzzle: pow.Puzzle | None = None
     reissued: bool = False
     release_at: float | None = None  # the session's timer
-    withheld: list[str] | None = None  # a legacy rejection held back for the delay
 
 
 class ServerSession:
@@ -262,8 +281,9 @@ class ServerSession:
     timer, ``next_release``: the transport calls ``poll`` once it is due.
 
     Everything a mail transaction holds, from its envelope to its body,
-    puzzle, timer and withheld reply, is one record, ``tx``, made at MAIL
-    and dropped whole when the transaction ends.
+    puzzle, timer and refusal, is one record, ``tx``, made at MAIL and
+    dropped whole when the transaction ends.  The body is held once, as
+    one bytearray, from its first line to delivery.
 
     Time is an argument: every call takes ``now``, and no clock is read.
     Nothing is raised: a fault inside the server, an ``OSError`` from the
@@ -354,10 +374,10 @@ class ServerSession:
                 tx.release_at = None
                 self.core.store.release(tx.puzzle.nonce)
                 return []
-            if tx.withheld is not None:
+            if tx.error is not None:
                 # the withheld reply was a temporary rejection; end the session
                 self._end_transaction(SessionState.DONE, now)
-                return tx.withheld
+                return [tx.error]
             # the acceptance is only uttered now, so delivery happens now
             self._end_transaction(SessionState.READY, now)
             return [self._deliver(tx, now, resisted=False)]
@@ -441,6 +461,8 @@ class ServerSession:
         addr = self._parse_path(rest, "FROM")
         if addr is None:
             return ["501 Syntax: MAIL FROM:<address>"]
+        if len(addr) + 2 > MAX_PATH_OCTETS:
+            return ["501 Path too long"]
         self.tx = _Transaction(addr)
         self.state = SessionState.MAIL_FROM
         return ["250 OK"]
@@ -451,6 +473,10 @@ class ServerSession:
         addr = self._parse_path(rest, "TO")
         if addr is None:
             return ["501 Syntax: RCPT TO:<address>"]
+        if len(addr) + 2 > MAX_PATH_OCTETS:
+            return ["501 Path too long"]
+        if len(self.tx.recipients) >= MAX_RECIPIENTS:
+            return ["452 Too many recipients"]
         self.tx.recipients.append(addr)
         self.state = SessionState.RCPT_TO
         return ["250 Accepted"]
@@ -494,18 +520,17 @@ class ServerSession:
         tx = self.tx
         if tx.error is not None:
             return []
-        too_long = len(line) > MAX_LINE_BYTES - 2
+        if len(line) > MAX_LINE_BYTES - 2:
+            tx.error = "500 Line too long"
+            tx.body.clear()
+            return []
         if line.startswith("."):
             line = line[1:]  # transparency: un-stuff the leading dot
-        tx.size += len(line) + 2
-        if too_long:
-            tx.error = "500 Line too long"
-        elif tx.size > self.core.config.max_message_bytes:
+        tx.body += line.encode("latin-1")
+        tx.body += b"\r\n"
+        if len(tx.body) > self.core.config.max_message_bytes:
             tx.error = "552 Message size exceeds fixed maximum message size"
-        else:
-            tx.body.append(line.encode("latin-1"))
-            return []
-        tx.body = []
+            tx.body.clear()
         return []
 
     def _finish_data(self, now: float) -> list[str]:
@@ -514,7 +539,7 @@ class ServerSession:
         if tx.error is not None:
             self._end_transaction(SessionState.READY, now)
             return [tx.error]
-        tx.body = b"\r\n".join(tx.body)
+        del tx.body[-2:]  # the last line's CRLF belongs to the "."
         score = core.scorer.score(tx.body)
         decision = decide(
             score,
@@ -560,8 +585,8 @@ class ServerSession:
         # pre-accept delay is the burden it carries instead, and the reply
         # (acceptance or rejection) is withheld until the delay elapses
         if decision.kind is DecisionKind.BLOCKED:
-            self.tx.withheld = ["421 Service temporarily unavailable, try again later"]
-            self.tx.body = b""  # never delivered, so not held through the delay
+            self.tx.error = "421 Service temporarily unavailable, try again later"
+            self.tx.body.clear()  # never delivered, so not held through the delay
         delay = self.core.legacy.pre_accept_delay
         self.tx.release_at = now + delay
         self.core.traffic.enter_burdened(self.peer_host)

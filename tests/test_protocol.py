@@ -5,9 +5,10 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -174,6 +175,31 @@ def test_angle_bracket_addresses_accepted(session):
     assert session.handle_line("RCPT TO:<c@d.example>", 0.0) == ["250 Accepted"]
     assert session.tx.mail_from == "a@b.example"
     assert session.tx.recipients == ["c@d.example"]
+
+
+def test_path_over_256_octets_gets_501(session):
+    session.handle_line("EHLO x.example", 0.0)
+    assert session.handle_line(f"MAIL FROM:<{'a' * 300}>", 0.0) == ["501 Path too long"]
+    assert session.handle_line(f"MAIL FROM:{'a' * 255}", 0.0) == ["501 Path too long"]
+    assert session.handle_line(f"MAIL FROM:<{'a' * 254}>", 0.0) == ["250 OK"]
+    assert session.handle_line(f"RCPT TO:<{'c' * 300}>", 0.0) == ["501 Path too long"]
+    assert session.handle_line(f"RCPT TO:<{'c' * 255}>", 0.0) == ["501 Path too long"]
+    # the transaction goes on: a path of 256 octets, brackets included, is taken
+    assert session.handle_line(f"RCPT TO:<{'c' * 254}>", 0.0) == ["250 Accepted"]
+    assert session.tx.recipients == ["c" * 254]
+
+
+def test_recipients_past_100_get_452(session):
+    negotiate(session)
+    session.handle_line("MAIL FROM: <a@b.example>", 0.0)
+    for i in range(100):
+        assert session.handle_line(f"RCPT TO:<r{i}@d.example>", 0.0) == ["250 Accepted"]
+    assert session.handle_line("RCPT TO:<late@d.example>", 0.0) == ["452 Too many recipients"]
+    assert session.handle_line("RCPT TO:<later@d.example>", 0.0) == ["452 Too many recipients"]
+    # the recipients already taken keep their transaction
+    assert session.handle_line("DATA", 0.0)[0].startswith("354")
+    assert submit_body(session, HAM_BODY)[0].startswith("250 OK id=")
+    assert session.core.sink.messages[0]["to"] == tuple(f"r{i}@d.example" for i in range(100))
 
 
 def test_pow_receipt_before_any_puzzle(session):
@@ -969,6 +995,98 @@ def test_feed_keeps_a_partial_line_until_its_end_arrives():
     assert session.feed(b"x\r\nNOOP\r\n", 0.0) == b"250 OK\r\n"
 
 
+# -- DATA: the body against a line-at-a-time reference --------------------------------
+
+
+def data_reference(raw_lines: list[bytes], limit: int) -> tuple[str | None, bytes | None]:
+    """DATA as specified, one input line at a time: return the refusal sent
+    for ".", or None, and the body delivered, or None.
+
+    An input line is cut at MAX_LINE_BYTES and loses its trailing CRs and
+    LFs.  A line over MAX_LINE_BYTES - 2 refuses the message with 500.  One
+    leading dot is removed, each line counts its length plus 2 against
+    ``limit`` for 552, and the lines are rejoined with CRLF."""
+    kept, size = [], 0
+    for raw in raw_lines:
+        line = raw[:MAX_LINE_BYTES].rstrip(b"\r\n")
+        if len(line) > MAX_LINE_BYTES - 2:
+            return "500 Line too long", None
+        if line.startswith(b"."):
+            line = line[1:]
+        size += len(line) + 2
+        if size > limit:
+            return "552 Message size exceeds fixed maximum message size", None
+        kept.append(line)
+    return None, b"\r\n".join(kept)
+
+
+# one input line, its ending included: Latin-1 bytes, bare CRs, dots, and
+# lengths around the cap; a lone "." would end the data, so it is left out
+DATA_LINE = st.tuples(
+    st.one_of(
+        st.binary(max_size=8).map(lambda b: b.replace(b"\n", b"")),
+        st.sampled_from([b"", b".", b"..", b"...", b".x"]),
+        st.tuples(st.sampled_from([b"", b"."]), st.integers(MAX_LINE_BYTES - 4, MAX_LINE_BYTES + 1)).map(
+            lambda t: t[0] + b"m" * t[1]
+        ),
+    ),
+    st.sampled_from([b"\r\n", b"\n", b"\r\r\n"]),
+).map(b"".join).filter(lambda raw: raw[:MAX_LINE_BYTES].rstrip(b"\r\n") != b".")
+
+
+@settings(max_examples=100, deadline=None)
+@example(raw_lines=[b"abc\r\n", b"..d\n"], slack=0, cuts=[])  # exactly the limit: delivered
+@example(raw_lines=[b"abc\r\n", b"..d\n"], slack=-1, cuts=[])  # one byte more: 552
+@given(
+    raw_lines=st.lists(DATA_LINE, max_size=6),
+    slack=st.one_of(st.none(), st.integers(-2, 2)),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=8),
+)
+def test_data_matches_a_line_at_a_time_reference(raw_lines, slack, cuts):
+    limit = ServerConfig().max_message_bytes
+    if slack is not None:
+        _, whole = data_reference(raw_lines, limit)
+        if whole is not None:
+            # the body's size, CRLFs counted, give or take a byte or two
+            limit = max(1, len(whole) + 2 * bool(raw_lines) + slack)
+    # a legacy sender with no delay gets its final reply at "." whatever the score
+    core = build_core(
+        server=ServerConfig(hostname="receiving-mail.com", max_message_bytes=limit),
+        legacy=LegacyPolicy(pre_accept_delay=0.0),
+    )
+    session = make_session(core)
+    session.feed(wire(["EHLO legacy.example", "MAIL FROM: <a@b>", "RCPT TO: <c@d>", "DATA"]), 0.0)
+    data = b"".join(raw_lines) + b".\r\nNOOP\r\nQUIT\r\n"
+    bounds = [0, *sorted(int(c * len(data)) for c in cuts), len(data)]
+    replies = b"".join(session.feed(data[a:b], 0.0) for a, b in zip(bounds, bounds[1:]))
+    final, body = data_reference(raw_lines, limit)
+    if body is None:
+        assert not core.sink.messages
+    else:
+        assert [m["body"] for m in core.sink.messages] == [body]
+        final = f"250 OK id={core.sink.messages[0]['id']}"
+    assert replies == wire([final, "250 OK", "221 receiving-mail.com closing connection"])
+
+
+def test_body_is_held_once_from_its_first_line_to_delivery():
+    core = build_core()
+    session = make_session(core)
+    session.feed(wire(pow_transaction()), 0.0)
+    body = b"see you at the meeting friend " * 34_953
+    data = b"".join(body[i:i + 60] + b"\r\n" for i in range(0, len(body), 60)) + b".\r\n"
+    chunks = [data[i:i + 65_536] for i in range(0, len(data), 65_536)]
+    tracemalloc.start()
+    try:
+        replies = b"".join(session.feed(chunk, 0.0) for chunk in chunks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert replies.startswith(b"250 OK id=")
+    delivered = core.sink.messages[0]["body"]
+    assert len(delivered) >= 1 << 20
+    assert peak < 2 * len(delivered)
+
+
 # -- legacy delay over a socket: the server keeps listening ---------------------------
 
 LEGACY_DELAY = 1.0
@@ -1061,6 +1179,18 @@ def test_mailbox_sink_appends_per_recipient(tmp_path):
     # path separators in recipient names must not escape the directory
     assert all(p.parent == tmp_path for p in tmp_path.iterdir())
     assert (tmp_path / "eve_.._.._etc@bad.mbox").exists()
+
+
+def test_longest_recipients_get_mailboxes_of_their_own(tmp_path):
+    core = build_core()
+    core.sink = MailboxSink(tmp_path)
+    longest = ["x" * 253 + end for end in "yz"]
+    replies = converse(core, wire(["EHLO a.example", "POW ISUPPORT ALG0", "MAIL FROM: <a@b.example>",
+                                   *(f"RCPT TO:<{rcpt}>" for rcpt in longest), "DATA", *HAM_BODY, ".", "QUIT"]))
+    assert replies[-2].startswith(b"250 OK id=")
+    boxes = list(tmp_path.iterdir())
+    assert len(boxes) == 2
+    assert all(len(box.name) <= 255 and box.read_bytes().count(b"meeting friend") == 1 for box in boxes)
 
 
 # -- reply parsing ------------------------------------------------------------------
