@@ -208,6 +208,10 @@ def _cmd_solve(args) -> int:
     except pow.AttemptsExhausted as exc:
         print(f"gave up: {exc}", file=sys.stderr)
         return EXIT_REFUSED_BURDEN
+    except ValueError as exc:
+        # a negative --attempt-cap
+        print(f"bad attempt cap: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(receipt.wire)
     return EXIT_OK
 

@@ -173,6 +173,15 @@ def leading_zero_bits(digest: bytes) -> int:
     return len(digest) * 8 - int.from_bytes(digest, "big").bit_length()
 
 
+def _bound(difficulty: int) -> bytes:
+    """The largest SHA-256 digest with at least ``difficulty`` leading zero
+    bits.  A digest meets the difficulty iff ``digest <= _bound(difficulty)``:
+    bytes of equal length compare as big-endian numbers.  The bound is
+    inclusive because 2**256, the exclusive one at difficulty 0, needs 33
+    bytes."""
+    return ((1 << (256 - difficulty)) - 1).to_bytes(32, "big")
+
+
 def verify_hash(puzzle: Puzzle, solution: str) -> bool:
     """True iff SHA-256("<alg>:<difficulty>:<nonce>:<solution>") starts with
     at least ``difficulty`` zero bits.  Pure predicate, one hash evaluation.
@@ -180,13 +189,13 @@ def verify_hash(puzzle: Puzzle, solution: str) -> bool:
     if puzzle.algorithm != ALG_BASELINE:
         raise UnsupportedAlgorithmError(f"cannot verify algorithm {puzzle.algorithm}")
     message = f"{puzzle.algorithm}:{puzzle.difficulty}:{puzzle.nonce}:{solution}"
-    digest = hashlib.sha256(message.encode("ascii")).digest()
-    full, rem = divmod(puzzle.difficulty, 8)
-    if digest[:full] != b"\x00" * full:
-        return False
-    if rem and digest[full] & (0xFF << (8 - rem)) & 0xFF:
-        return False
-    return True
+    return hashlib.sha256(message.encode("ascii")).digest() <= _bound(puzzle.difficulty)
+
+
+# the solver hashes counter c as the decimal stem c // 100 followed by a
+# two-digit suffix; below 100 there is no stem and the suffix is unpadded
+_SHORT_SUFFIXES = tuple(str(i).encode("ascii") for i in range(100))
+_SUFFIXES = tuple(f"{i:02d}".encode("ascii") for i in range(100))
 
 
 def solve(puzzle: Puzzle, start_counter: int = 0, attempt_cap: int | None = None) -> Receipt:
@@ -196,25 +205,37 @@ def solve(puzzle: Puzzle, start_counter: int = 0, attempt_cap: int | None = None
     ``start_counter``.  Raises :class:`AttemptsExhausted` once ``attempt_cap``
     hashes have been tried, so the caller can decide whether the burden is
     worth carrying on with.
+
+    The ``"<alg>:<difficulty>:<nonce>:"`` prefix is hashed once.  Each block
+    of 100 counters copies that state and adds its stem, and each counter
+    copies the block's state and adds its suffix, so a counter costs the
+    hashing of two digits rather than of the whole receipt.
     """
     if puzzle.algorithm != ALG_BASELINE:
         raise UnsupportedAlgorithmError(f"cannot solve algorithm {puzzle.algorithm}")
     if start_counter < 0:
         raise ValueError("start_counter must be non-negative")
-    prefix = f"{puzzle.algorithm}:{puzzle.difficulty}:{puzzle.nonce}:".encode("ascii")
-    full, rem = divmod(puzzle.difficulty, 8)
-    zeros = b"\x00" * full
-    mask = (0xFF << (8 - rem)) & 0xFF if rem else 0
-    sha256 = hashlib.sha256
+    if attempt_cap is not None and attempt_cap < 0:
+        raise ValueError("attempt_cap must be non-negative")
+    bound = _bound(puzzle.difficulty)
+    midstate = hashlib.sha256(f"{puzzle.algorithm}:{puzzle.difficulty}:{puzzle.nonce}:".encode("ascii"))
+    end = None if attempt_cap is None else start_counter + attempt_cap
     counter = start_counter
-    attempts = 0
-    while attempt_cap is None or attempts < attempt_cap:
-        digest = sha256(prefix + str(counter).encode("ascii")).digest()
-        attempts += 1
-        if digest[:full] == zeros and not (mask and digest[full] & mask):
-            return Receipt(puzzle=puzzle, solution=str(counter))
-        counter += 1
-    raise AttemptsExhausted(attempts)
+    while end is None or counter < end:
+        stem, first = divmod(counter, 100)
+        last = 100 if end is None else min(100, end - 100 * stem)
+        block, suffixes = midstate, _SHORT_SUFFIXES
+        if stem:
+            block = midstate.copy()
+            block.update(b"%d" % stem)
+            suffixes = _SUFFIXES
+        for i in range(first, last):
+            state = block.copy()
+            state.update(suffixes[i])
+            if state.digest() <= bound:
+                return Receipt(puzzle=puzzle, solution=str(100 * stem + i))
+        counter = 100 * stem + last
+    raise AttemptsExhausted(attempt_cap)
 
 
 class VerifyOutcome(enum.Enum):

@@ -159,10 +159,15 @@ class HostTraffic:
 
 
 _NAME_MAX = 255  # bytes in a file name on common file systems
+_UNSAFE_NAME_BYTE = re.compile(rb"[^A-Za-z0-9.@+_-]")
+# a body line that would read as a message separator, quoted or not: mboxrd
+# (RFC 4155) quotes it with one more ">"
+_FROM_LINE = re.compile(rb"^(?=>*From )", re.MULTILINE)
 
 
 class MailboxSink:
-    """Append-only mailbox file per recipient under one directory.
+    """Append-only mailbox file per recipient under one directory, in mboxrd
+    format.
 
     ``deliver`` takes the body as ``bytes`` or ``bytearray``; the session
     hands over the bytearray it received the message into."""
@@ -174,11 +179,13 @@ class MailboxSink:
 
     @staticmethod
     def _mailbox_name(recipient: str) -> str:
-        safe = re.sub(r"[^A-Za-z0-9.@+_-]", "_", recipient)
+        # percent-encoding every other byte, "%" included, gives distinct
+        # addresses distinct names and keeps path separators out
+        safe = _UNSAFE_NAME_BYTE.sub(lambda m: b"%%%02X" % m[0][0], recipient.encode()).decode("ascii")
         if len(safe) > _NAME_MAX - len(".mbox"):
             # a file name holds at most 255 bytes: keep the start of a longer
             # one and tell addresses apart by a digest, after a "~" that the
-            # substitution above leaves in no uncut name
+            # encoding above leaves in no uncut name
             digest = hashlib.sha256(recipient.encode()).hexdigest()[:32]
             safe = f"{safe[:_NAME_MAX - len('~.mbox') - len(digest)]}~{digest}"
         return f"{safe}.mbox"
@@ -186,6 +193,8 @@ class MailboxSink:
     def deliver(self, mail_from: str, recipients, body: bytes, message_id: str, when: float) -> None:
         stamp = time.asctime(time.gmtime(when))
         header = f"From {mail_from} {stamp}\nX-SpamFriction-Id: {message_id}\n".encode("latin-1")
+        if b"From " in body:
+            body = _FROM_LINE.sub(b">", body)
         with self._lock:
             for rcpt in recipients:
                 path = os.path.join(self.directory, self._mailbox_name(rcpt))

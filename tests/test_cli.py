@@ -57,6 +57,11 @@ def test_solve_attempt_cap_gives_up(capsys):
     assert "gave up" in capsys.readouterr().err
 
 
+def test_solve_negative_attempt_cap_is_a_usage_error(capsys):
+    assert cli.main(["solve", "0:8:123", "--attempt-cap", "-5"]) == 64
+    assert "attempt_cap" in capsys.readouterr().err
+
+
 def test_verify_accepts_and_rejects(capsys):
     assert cli.main(["verify", "0:8:424242424242424:26"]) == 0
     assert "ok" in capsys.readouterr().out

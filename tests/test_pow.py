@@ -6,7 +6,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FixedEntropy
@@ -172,6 +172,74 @@ def test_solve_attempt_cap():
     with pytest.raises(pow.AttemptsExhausted) as excinfo:
         pow.solve(FIXTURE_D16, attempt_cap=10)
     assert excinfo.value.attempts == 10
+
+
+def test_solve_negative_attempt_cap_is_rejected():
+    with pytest.raises(ValueError):
+        pow.solve(FIXTURE_D16, attempt_cap=-5)
+    with pytest.raises(pow.AttemptsExhausted) as excinfo:
+        pow.solve(FIXTURE_D16, attempt_cap=0)
+    assert excinfo.value.attempts == 0
+
+
+def reference_solve(puzzle, start_counter=0, attempt_cap=None):
+    """The one-counter-at-a-time scan that hashes each whole receipt."""
+    prefix = f"{puzzle.algorithm}:{puzzle.difficulty}:{puzzle.nonce}:".encode("ascii")
+    full, rem = divmod(puzzle.difficulty, 8)
+    zeros = b"\x00" * full
+    mask = (0xFF << (8 - rem)) & 0xFF if rem else 0
+    counter = start_counter
+    attempts = 0
+    while attempt_cap is None or attempts < attempt_cap:
+        digest = hashlib.sha256(prefix + str(counter).encode("ascii")).digest()
+        attempts += 1
+        if digest[:full] == zeros and not (mask and digest[full] & mask):
+            return pow.Receipt(puzzle=puzzle, solution=str(counter))
+        counter += 1
+    raise pow.AttemptsExhausted(attempts)
+
+
+def _outcome(solver, puzzle, start_counter, attempt_cap):
+    try:
+        return solver(puzzle, start_counter=start_counter, attempt_cap=attempt_cap).solution
+    except pow.AttemptsExhausted as exc:
+        return ("exhausted", exc.attempts)
+
+
+# counters where the decimal width or the block of 100 changes, and any other
+_COUNTERS = st.one_of(
+    st.sampled_from([0, 1, 8, 9, 10, 11, 98, 99, 100, 101, 199, 200, 998, 999, 1000, 1001, 9999, 10_000]),
+    st.integers(0, 10**15),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    difficulty=st.integers(0, 10),
+    nonce=st.text("0123456789", min_size=1, max_size=20),
+    start_counter=_COUNTERS,
+    attempt_cap=st.one_of(st.none(), st.integers(0, 2500)),
+)
+def test_solve_matches_the_reference_scan(difficulty, nonce, start_counter, attempt_cap):
+    # same first solution, or AttemptsExhausted after exactly attempt_cap
+    # hashes, also for caps and starts that end or begin a block part-way
+    p = pow.Puzzle(algorithm=0, difficulty=difficulty, nonce=nonce)
+    expected = _outcome(reference_solve, p, start_counter, attempt_cap)
+    assert _outcome(pow.solve, p, start_counter, attempt_cap) == expected
+    if isinstance(expected, tuple):
+        assert expected == ("exhausted", attempt_cap)
+
+
+@settings(max_examples=50)
+@given(nonce=st.text("0123456789", min_size=1, max_size=20), solution=st.text("0123456789", min_size=1, max_size=20))
+# solutions that meet difficulty 16, and exactly 8, where a random digest would not
+@example(nonce=FIXTURE_D16.nonce, solution=FIXTURE_D16_SOLUTION)
+@example(nonce=FIXTURE_D8_EXACT.nonce, solution=FIXTURE_D8_SOLUTION)
+def test_verify_hash_is_the_leading_zero_rule(nonce, solution):
+    for difficulty in range(pow.MAX_DIFFICULTY + 1):
+        p = pow.Puzzle(algorithm=0, difficulty=difficulty, nonce=nonce)
+        digest = hashlib.sha256(f"0:{difficulty}:{nonce}:{solution}".encode("ascii")).digest()
+        assert pow.verify_hash(p, solution) == (pow.leading_zero_bits(digest) >= difficulty)
 
 
 def test_solve_unknown_algorithm():

@@ -1,5 +1,6 @@
 """Server session state machine, receipt handling, legacy senders, client."""
 import io
+import mailbox
 import re
 import socket
 import struct
@@ -1178,7 +1179,28 @@ def test_mailbox_sink_appends_per_recipient(tmp_path):
     assert b"id1-000001-AA" in box
     # path separators in recipient names must not escape the directory
     assert all(p.parent == tmp_path for p in tmp_path.iterdir())
-    assert (tmp_path / "eve_.._.._etc@bad.mbox").exists()
+    assert (tmp_path / "eve%2F..%2F..%2Fetc@bad.mbox").exists()
+
+
+def test_mailbox_names_keep_distinct_addresses_apart(tmp_path):
+    sink = MailboxSink(tmp_path)
+    sink.deliver("a@x", ["eve/x@bad", "eve_x@bad", "eve%2Fx@bad"], b"hello", "id1-000001-AA", 0.0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "eve%252Fx@bad.mbox", "eve%2Fx@bad.mbox", "eve_x@bad.mbox",
+    ]
+
+
+def test_mailbox_quotes_body_lines_that_read_as_separators(tmp_path):
+    sink = MailboxSink(tmp_path)
+    sink.deliver("a@x", ["bob@ex.net"], b"Hi\r\nFrom the desk of X\r\n>From me\r\n", "id1-000001-AA", 0.0)
+    sink.deliver("c@y", ["bob@ex.net"], b"second\r\n", "id2-000002-BB", 1.0)
+    path = tmp_path / "bob@ex.net.mbox"
+    assert b"\n>From the desk of X\r\n>>From me\r\n" in path.read_bytes()
+    box = mailbox.mbox(path, create=False)
+    try:
+        assert len(box) == 2
+    finally:
+        box.close()
 
 
 def test_longest_recipients_get_mailboxes_of_their_own(tmp_path):
