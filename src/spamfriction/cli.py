@@ -112,12 +112,12 @@ def _build_parser() -> _Parser:
 
 
 def _apply_serve_overrides(app: AppConfig, args) -> AppConfig:
-    if args.listen:
-        app.listen = parse_endpoint(args.listen)
-    if args.sink_dir:
-        app.sink_dir = args.sink_dir
-    if args.hostname:
-        app.server = replace(app.server, hostname=args.hostname)
+    overrides = {
+        "listen": parse_endpoint(args.listen) if args.listen else None,
+        "sink_dir": args.sink_dir,
+        "hostname": args.hostname,
+    }
+    app.server = replace(app.server, **{k: v for k, v in overrides.items() if v})
     return app
 
 
@@ -134,13 +134,12 @@ def _cmd_serve(args) -> int:
         config=app.server,
         policy_config=app.policy,
         scorer=Scorer(app.scorer),
-        store=pow.IssuedPuzzleStore(app.store_capacity),
-        sink=MailboxSink(app.sink_dir),
+        sink=MailboxSink(app.server.sink_dir),
         legacy=app.legacy,
     )
-    server = PowSmtpServer(app.listen, core)
+    server = PowSmtpServer(app.server.listen, core)
     host, port = server.server_address[:2]
-    print(f"listening on {host}:{port}, delivering to {app.sink_dir}/", flush=True)
+    print(f"listening on {host}:{port}, delivering to {app.server.sink_dir}/", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -169,7 +168,7 @@ def _cmd_send(args) -> int:
     if args.dump_effective_config:
         sys.stdout.write(dump_effective(app))
         return EXIT_OK
-    target = parse_endpoint(args.server) if args.server else app.listen
+    target = parse_endpoint(args.server) if args.server else app.server.listen
     if args.body_file:
         with open(args.body_file, "rb") as fh:
             body = fh.read()

@@ -9,7 +9,7 @@ handling without anyone noticing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, is_dataclass
 from typing import get_type_hints
 
 import yaml
@@ -23,21 +23,18 @@ class ConfigError(Exception):
     """Bad configuration file: unknown key, wrong type, invalid value."""
 
 
-DEFAULT_LISTEN = ("127.0.0.1", 2525)
-DEFAULT_SINK_DIR = "mailbox"
-DEFAULT_STORE_CAPACITY = 10_000
-
-
 @dataclass
 class AppConfig:
-    listen: tuple[str, int] = DEFAULT_LISTEN
-    sink_dir: str = DEFAULT_SINK_DIR
-    store_capacity: int = DEFAULT_STORE_CAPACITY
     server: ServerConfig = field(default_factory=ServerConfig)
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     scorer: ScorerConfig = field(default_factory=ScorerConfig)
     legacy: LegacyPolicy = field(default_factory=LegacyPolicy)
     client: ClientConfig = field(default_factory=ClientConfig)
+
+    @property
+    def store_capacity(self) -> int:
+        """Read-only alias of ``server.store_capacity``, for older readers."""
+        return self.server.store_capacity
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
@@ -148,33 +145,22 @@ _CODECS = {
 }
 
 
-def _kwargs(cls, data: dict, where: str) -> dict:
-    """Decoded values for the fields of ``cls`` that ``data`` sets."""
-    hints = get_type_hints(cls)
-    return {f.name: _decode(hints[f.name], data[f.name], f"{where}.{f.name}")
-            for f in fields(cls) if f.name in data}
-
-
 def _decode(hint, value, where: str):
     if not is_dataclass(hint):
         return _CODECS[hint][0](value, where)
     data = _require_mapping(value, where)
-    _check_keys(data, [f.name for f in fields(hint)], where)
-    return hint(**_kwargs(hint, data, where))
+    hints = get_type_hints(hint)
+    _check_keys(data, hints, where)
+    return hint(**{name: _decode(kind, data[name], f"{where}.{name}") for name, kind in hints.items() if name in data})
 
 
 def _encode(hint, value):
     if not is_dataclass(hint):
         return _CODECS[hint][1](value)
-    hints = get_type_hints(hint)
-    return {f.name: _encode(hints[f.name], getattr(value, f.name)) for f in fields(hint)}
+    return {name: _encode(kind, getattr(value, name)) for name, kind in get_type_hints(hint).items()}
 
 
-_APP_HINTS = get_type_hints(AppConfig)
-# AppConfig's own settings, which the YAML carries in the ServerConfig section
-_CARRIED = [name for name, hint in _APP_HINTS.items() if not is_dataclass(hint)]
-_SECTIONS = {name: hint for name, hint in _APP_HINTS.items() if is_dataclass(hint)}
-_SERVER = next(name for name, hint in _SECTIONS.items() if hint is ServerConfig)
+_SECTIONS = get_type_hints(AppConfig)
 
 
 def build_app_config(data: dict) -> AppConfig:
@@ -182,16 +168,9 @@ def build_app_config(data: dict) -> AppConfig:
     data = _require_mapping(data, "configuration")
     _check_keys(data, _SECTIONS, "configuration")
     try:
-        server = _require_mapping(data.get(_SERVER), _SERVER)
-        _check_keys(server, _CARRIED + [f.name for f in fields(ServerConfig)], _SERVER)
-        carried = _kwargs(AppConfig, {k: v for k, v in server.items() if k in _CARRIED}, _SERVER)
-        if carried.get("store_capacity", DEFAULT_STORE_CAPACITY) < 1:
-            raise ConfigError(f"{_SERVER}.store_capacity must be at least 1")
-        data = {**data, _SERVER: {k: v for k, v in server.items() if k not in _CARRIED}}
-        sections = {name: _decode(hint, data.get(name), name) for name, hint in _SECTIONS.items()}
+        return AppConfig(**{name: _decode(hint, data.get(name), name) for name, hint in _SECTIONS.items()})
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    return AppConfig(**carried, **sections)
 
 
 def load_config(path: str | None) -> AppConfig:
@@ -211,9 +190,7 @@ def load_config(path: str | None) -> AppConfig:
 
 def effective_dict(app: AppConfig) -> dict:
     """The full merged configuration, defaults included."""
-    tree = _encode(AppConfig, app)
-    tree[_SERVER].update({name: tree.pop(name) for name in _CARRIED})
-    return tree
+    return _encode(AppConfig, app)
 
 
 def dump_effective(app: AppConfig) -> str:

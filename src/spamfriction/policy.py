@@ -67,8 +67,9 @@ class SinBinConfig:
     def __post_init__(self) -> None:
         if self.max_refusals < 1:
             raise ValueError("max_refusals must be at least 1")
-        if self.window <= 0 or self.block_duration <= 0:
-            raise ValueError("window and block_duration must be positive")
+        for name in ("window", "block_duration"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN too
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass

@@ -61,6 +61,8 @@ class ScorerConfig:
             raise ValueError(f"unknown scorer mode: {self.mode!r}")
         if not 0.0 <= self.fallback <= 1.0 or math.isnan(self.fallback):
             raise ValueError("fallback score must lie in [0, 1]")
+        if not 0 < self.timeout < math.inf:  # NaN too; 0 would make the socket non-blocking
+            raise ValueError("timeout must be finite and positive")
         if self.mode == "external" and self.endpoint is None:
             raise ValueError("external scorer needs an endpoint")
 

@@ -83,6 +83,9 @@ def _to_wire(lines: list[str]) -> bytes:
 
 @dataclass
 class ServerConfig:
+    listen: tuple[str, int] = ("127.0.0.1", 2525)
+    sink_dir: str = "mailbox"
+    store_capacity: int = 10_000  # outstanding puzzles
     hostname: str = "localhost"
     max_message_bytes: int = 52_428_800  # advertised as SIZE
     advertise_auth: bool = True
@@ -91,10 +94,12 @@ class ServerConfig:
     puzzle_ttl: float = 7200.0
 
     def __post_init__(self) -> None:
+        if self.store_capacity < 1:
+            raise ValueError("store_capacity must be at least 1")
         if self.max_message_bytes < 1:
             raise ValueError("max_message_bytes must be positive")
-        if self.puzzle_ttl <= 0:
-            raise ValueError("puzzle_ttl must be positive")
+        if not 0 < self.puzzle_ttl < math.inf:  # NaN too
+            raise ValueError("puzzle_ttl must be finite and positive")
         if any(a < 0 for a in self.pow_algorithms):
             raise ValueError("algorithm ids must be non-negative")
 
@@ -116,8 +121,8 @@ class LegacyPolicy:
     overload_mode: str = OVERLOAD_REFUSE
 
     def __post_init__(self) -> None:
-        if self.pre_accept_delay < 0:
-            raise ValueError("pre_accept_delay must be non-negative")
+        if not 0 <= self.pre_accept_delay < math.inf:  # NaN too
+            raise ValueError("pre_accept_delay must be finite and non-negative")
         if self.max_connections_per_host < 1:
             raise ValueError("max_connections_per_host must be at least 1")
         if self.overload_mode not in OVERLOAD_MODES:
@@ -191,19 +196,29 @@ class MailboxSink:
         return f"{safe}.mbox"
 
     def deliver(self, mail_from: str, recipients, body: bytes, message_id: str, when: float) -> None:
+        """Append the message to every recipient's mailbox or to none: on an
+        ``OSError`` each one opened is cut back, and the error raised again."""
         stamp = time.asctime(time.gmtime(when))
         header = f"From {mail_from} {stamp}\nX-SpamFriction-Id: {message_id}\n".encode("latin-1")
         if b"From " in body:
             body = _FROM_LINE.sub(b">", body)
         with self._lock:
-            for rcpt in recipients:
-                path = os.path.join(self.directory, self._mailbox_name(rcpt))
-                with open(path, "ab") as fh:
-                    fh.write(header)
-                    fh.write(body)
-                    if not body.endswith(b"\n"):
+            opened: list[tuple[str, int]] = []  # (path, size before this delivery)
+            try:
+                for rcpt in recipients:
+                    path = os.path.join(self.directory, self._mailbox_name(rcpt))
+                    with open(path, "ab") as fh:
+                        opened.append((path, fh.tell()))
+                        fh.write(header)
+                        fh.write(body)
+                        if not body.endswith(b"\n"):
+                            fh.write(b"\n")
                         fh.write(b"\n")
-                    fh.write(b"\n")
+            except OSError:
+                # newest first, so a mailbox named twice ends at its first size
+                for path, size in reversed(opened):
+                    os.truncate(path, size)
+                raise
 
 
 class MailServerCore:
@@ -227,7 +242,7 @@ class MailServerCore:
         self.policy_config = PolicyConfig() if policy_config is None else policy_config
         self.scorer = Scorer(ScorerConfig()) if scorer is None else scorer
         self.sinbin = SinBin(self.policy_config.sinbin)
-        self.store = pow.IssuedPuzzleStore() if store is None else store
+        self.store = pow.IssuedPuzzleStore(self.config.store_capacity) if store is None else store
         self.sink = sink
         self.clock = SystemClock() if clock is None else clock
         self.legacy = LegacyPolicy() if legacy is None else legacy
@@ -388,8 +403,7 @@ class ServerSession:
                 self._end_transaction(SessionState.DONE, now)
                 return [tx.error]
             # the acceptance is only uttered now, so delivery happens now
-            self._end_transaction(SessionState.READY, now)
-            return [self._deliver(tx, now, resisted=False)]
+            return self._deliver(now)
         except Exception:
             return self._fault(now)
 
@@ -577,17 +591,8 @@ class ServerSession:
             self._end_transaction(SessionState.DONE, now)
             return ["421 Service temporarily unavailable, try again later"]
         if decision.kind is DecisionKind.ACCEPT:
-            tx = self.tx
-            self._end_transaction(SessionState.READY, now)
-            return [self._deliver(tx, now, resisted=False)]
-        try:
-            challenge = self._issue_puzzle(decision.difficulty, now)
-        except pow.StoreFullError:
-            self._end_transaction(SessionState.READY, now)
-            return ["452 Too many outstanding puzzles, try again later"]
-        self.core.traffic.enter_burdened(self.peer_host)
-        self.state = SessionState.AWAITING_RECEIPT
-        return [f"211 POW Required (SPAM) {challenge.wire}"]
+            return self._deliver(now)
+        return self._demand_work(decision.difficulty, now)
 
     def _finish_data_legacy(self, decision: Decision, now: float) -> list[str]:
         # a sender that never negotiated POW cannot solve puzzles; the
@@ -604,19 +609,32 @@ class ServerSession:
             return self.poll(now)
         return []
 
-    def _issue_puzzle(self, difficulty: int, now: float) -> pow.Puzzle:
+    def _demand_work(self, difficulty: int, now: float) -> list[str]:
+        """Issue the transaction's puzzle, or the reissue that replaces it
+        once issued; a full store ends the transaction with 452."""
         core = self.core
-        challenge = pow.generate_challenge(
-            core.store,
-            algorithm=self.negotiated_alg,
-            difficulty=difficulty,
-            ttl=core.config.puzzle_ttl,
-            entropy=core.entropy,
-            now=now,
-        )
-        self.tx.puzzle = challenge
-        self.tx.release_at = challenge.expires_at
-        return challenge
+        tx = self.tx
+        replaced = tx.puzzle
+        try:
+            tx.puzzle = pow.generate_challenge(
+                core.store,
+                algorithm=self.negotiated_alg,
+                difficulty=difficulty,
+                ttl=core.config.puzzle_ttl,
+                entropy=core.entropy,
+                now=now,
+            )
+        except pow.StoreFullError:
+            # the overload is the server's, so no refusal is recorded
+            self._end_transaction(SessionState.READY, now)
+            return ["452 Too many outstanding puzzles, try again later"]
+        tx.release_at = tx.puzzle.expires_at
+        if replaced is None:
+            core.traffic.enter_burdened(self.peer_host)
+            self.state = SessionState.AWAITING_RECEIPT
+        else:
+            core.store.release(replaced.nonce)
+        return [f"211 POW Required (SPAM) {tx.puzzle.wire}"]
 
     # -- receipt verification --------------------------------------------------
 
@@ -633,20 +651,11 @@ class ServerSession:
         expired = tx.puzzle.expires_at <= now
         outcome = pow.VerifyOutcome.EXPIRED if expired else self.core.store.verify_and_consume(receipt, now)
         if outcome is pow.VerifyOutcome.ACCEPTED:
-            self._end_transaction(SessionState.READY, now)
-            return [self._deliver(tx, now, resisted=True)]
+            return self._deliver(now)
         if outcome in (pow.VerifyOutcome.BAD_SOLUTION, pow.VerifyOutcome.EXPIRED) and not tx.reissued:
             # one fresh chance for an honest solver that fumbled or ran long
             tx.reissued = True
-            replaced = tx.puzzle
-            try:
-                challenge = self._issue_puzzle(replaced.difficulty, now)
-            except pow.StoreFullError:
-                # the overload is the server's, so no refusal is recorded
-                self._end_transaction(SessionState.READY, now)
-                return ["452 Too many outstanding puzzles, try again later"]
-            self.core.store.release(replaced.nonce)
-            return [f"211 POW Required (SPAM) {challenge.wire}"]
+            return self._demand_work(tx.puzzle.difficulty, now)
         return self._fail_receipt(now, outcome.value)
 
     def _fail_receipt(self, now: float, reason: str) -> list[str]:
@@ -655,8 +664,11 @@ class ServerSession:
 
     # -- shared helpers --------------------------------------------------------
 
-    def _deliver(self, tx: _Transaction, now: float, resisted: bool) -> str:
+    def _deliver(self, now: float) -> list[str]:
+        """End the transaction and deliver its message."""
         core = self.core
+        tx = self.tx
+        self._end_transaction(SessionState.READY, now)
         message_id = core.new_message_id()
         if core.sink is not None:
             core.sink.deliver(tx.mail_from, tx.recipients, tx.body, message_id, now)
@@ -666,10 +678,10 @@ class ServerSession:
             self.peer_host,
             tx.mail_from,
             len(tx.recipients),
-            "yes" if resisted else "no",
+            "yes" if tx.puzzle is not None else "no",
             message_id,
         )
-        return f"250 OK id={message_id}"
+        return [f"250 OK id={message_id}"]
 
     def _log_decision(self, score: SpamScore, decision: Decision, now: float) -> None:
         difficulty = decision.difficulty if decision.kind is DecisionKind.RESIST else "-"
@@ -918,7 +930,8 @@ def _transaction(message: Message, cfg: ClientConfig):
             challenge = _parse_challenge(lines[-1])
         except pow.WireFormatError as exc:
             return SendResult(SendStatus.REJECTED, code=code, detail=f"malformed puzzle: {exc}")
-        if challenge.algorithm not in cfg.supported_algorithms:
+        # a supported algorithm may still be one this solver lacks
+        if challenge.algorithm not in set(cfg.supported_algorithms) & IMPLEMENTED_ALGORITHMS:
             return SendResult(
                 SendStatus.REFUSED_BURDEN,
                 detail=f"unsupported algorithm {challenge.algorithm}",

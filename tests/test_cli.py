@@ -166,7 +166,7 @@ def test_load_config_defaults_when_missing_sections(tmp_path):
     path = tmp_path / "app.yaml"
     path.write_text("{}")
     app = load_config(str(path))
-    assert app.listen == ("127.0.0.1", 2525)
+    assert app.server.listen == ("127.0.0.1", 2525)
     assert app.policy.resist_threshold == 0.05
 
 
@@ -195,9 +195,9 @@ client:
 """
     )
     app = load_config(str(path))
-    assert app.listen == ("0.0.0.0", 2626)
+    assert app.server.listen == ("0.0.0.0", 2626)
     assert app.server.hostname == "mx.test"
-    assert app.sink_dir == "/var/mail/test"
+    assert app.server.sink_dir == "/var/mail/test"
     assert app.server.pow_algorithms == (0, 3)
     assert app.policy.resist_threshold == 0.2
     assert app.policy.base_difficulty == 12
@@ -336,6 +336,18 @@ def test_config_errors_exit_78(tmp_path, capsys):
         ("client:\n  max_reissues: -1\n", "max_reissues"),
         ("client:\n  supported_algorithms: [0, -1]\n", "supported_algorithms"),
         ("client:\n  helo_name: ''\n", "helo_name"),
+        ("server:\n  store_capacity: 0\n", "store_capacity"),
+        # durations that load but would break serving: a socket timeout,
+        # a puzzle's expiry, the legacy delay and the sin bin's clocks
+        ("scorer:\n  timeout: -1\n", "timeout"),
+        ("scorer:\n  timeout: .nan\n", "timeout"),
+        ("scorer:\n  timeout: 0\n", "timeout"),
+        ("server:\n  puzzle_ttl: .inf\n", "puzzle_ttl"),
+        ("server:\n  puzzle_ttl: .nan\n", "puzzle_ttl"),
+        ("legacy:\n  pre_accept_delay: .inf\n", "pre_accept_delay"),
+        ("legacy:\n  pre_accept_delay: .nan\n", "pre_accept_delay"),
+        ("policy:\n  sinbin:\n    block_duration: .nan\n", "block_duration"),
+        ("policy:\n  sinbin:\n    window: .nan\n", "window"),
     ):
         path.write_text(body)
         assert cli.main(["serve", "--config", str(path), "--dump-effective-config"]) == 78

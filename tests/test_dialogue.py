@@ -51,6 +51,16 @@ def test_malformed_puzzle_is_a_rejection_that_still_quits():
 REJECTED, REFUSED = SendStatus.REJECTED, SendStatus.REFUSED_BURDEN
 
 
+def test_a_puzzle_the_solver_lacks_is_a_refused_burden_that_still_quits():
+    # the client accepts algorithm 1, but pow.solve has no solver for it
+    sent, result = script(
+        smtp.client_dialogue(SPAM, ClientConfig(supported_algorithms=(0, 1), hash_rate=1e6)),
+        [*UP_TO_DATA, (211, ["211 POW Required (SPAM) 1:4:123"]), (221, ["221 bye"])],
+    )
+    assert sent[-1] == ["QUIT"]
+    assert (result.status, result.detail) == (REFUSED, "unsupported algorithm 1")
+
+
 @pytest.mark.parametrize(
     "replies, status, code, detail",
     [

@@ -24,6 +24,7 @@ from conftest import (
 from spamfriction import puzzle as pow
 from spamfriction import smtp
 from spamfriction.clock import SystemClock, VirtualClock
+from spamfriction.config import load_config
 from spamfriction.policy import PolicyConfig, SinBinConfig
 from spamfriction.smtp import (
     ClientConfig,
@@ -452,6 +453,20 @@ def test_delivery_clears_refusal_history():
 def test_injected_empty_store_is_kept():
     # an empty store is falsy, so injection must not test truthiness
     assert MailServerCore(store=pow.IssuedPuzzleStore(5)).store.capacity == 5
+
+
+def test_core_sizes_its_own_store_from_the_server_config(tmp_path):
+    path = tmp_path / "app.yaml"
+    path.write_text("server:\n  store_capacity: 2\n")
+    for config in (ServerConfig(store_capacity=2), load_config(str(path)).server):
+        core = build_core(server=config)
+        replies = []
+        for _ in range(3):
+            session = make_session(core)
+            negotiate(session)
+            send_envelope(session)
+            replies.append(submit_body(session, SPAM_BODY)[0][:4])
+        assert replies == ["211 ", "211 ", "452 "]
 
 
 def test_reissue_into_full_store_releases_the_host():
@@ -1201,6 +1216,28 @@ def test_mailbox_quotes_body_lines_that_read_as_separators(tmp_path):
         assert len(box) == 2
     finally:
         box.close()
+
+
+def test_failed_delivery_leaves_every_mailbox_as_it_was(tmp_path):
+    core = build_core()
+    core.sink = MailboxSink(tmp_path)
+    core.sink.deliver("a@x", ["old@x"], b"earlier mail", "id1-000001-AA", 0.0)
+    before = (tmp_path / "old@x.mbox").read_bytes()
+    (tmp_path / "dir@x.mbox").mkdir()  # opening it raises IsADirectoryError, even for root
+    session = make_session(core)
+    negotiate(session)
+    session.handle_line("MAIL FROM: alice@example.org", 0.0)
+    for rcpt in ("old@x", "ann@x", "dir@x", "bob@x"):
+        assert session.handle_line(f"RCPT TO: {rcpt}", 0.0) == ["250 Accepted"]
+    session.handle_line("DATA", 0.0)
+    assert submit_body(session, HAM_BODY) == ["451 Requested action aborted: local error in processing"]
+    assert (tmp_path / "old@x.mbox").read_bytes() == before
+    box = mailbox.mbox(tmp_path / "ann@x.mbox", create=False)
+    try:
+        assert len(box) == 0
+    finally:
+        box.close()
+    assert not (tmp_path / "bob@x.mbox").exists()
 
 
 def test_longest_recipients_get_mailboxes_of_their_own(tmp_path):
