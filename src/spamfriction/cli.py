@@ -123,7 +123,11 @@ def _apply_serve_overrides(app: AppConfig, args) -> AppConfig:
 
 def _cmd_serve(args) -> int:
     app = load_config(args.config)
-    app = _apply_serve_overrides(app, args)
+    try:
+        app = _apply_serve_overrides(app, args)
+    except ValueError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.dump_effective_config:
         sys.stdout.write(dump_effective(app))
         return EXIT_OK
@@ -161,6 +165,7 @@ def _cmd_send(args) -> int:
             client_cfg = replace(client_cfg, work_budget_seconds=args.budget)
         if args.helo:
             client_cfg = replace(client_cfg, helo_name=args.helo)
+        target = parse_endpoint(args.server) if args.server else app.server.listen
     except ValueError as exc:
         print(f"send: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -168,7 +173,6 @@ def _cmd_send(args) -> int:
     if args.dump_effective_config:
         sys.stdout.write(dump_effective(app))
         return EXIT_OK
-    target = parse_endpoint(args.server) if args.server else app.server.listen
     if args.body_file:
         with open(args.body_file, "rb") as fh:
             body = fh.read()

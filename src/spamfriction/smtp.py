@@ -23,6 +23,7 @@ import hashlib
 import logging
 import math
 import os
+import queue
 import random
 import re
 import socket
@@ -49,6 +50,9 @@ MAX_LINE_BYTES = 65536
 # the recipients a transaction must take; it takes no more
 MAX_PATH_OCTETS = 256
 MAX_RECIPIENTS = 100
+# the most session threads kept idle for the next connection; a thread whose
+# session ends beyond that exits
+MAX_IDLE_SESSION_THREADS = 16
 
 # algorithms this implementation can actually mint and verify locally;
 # the advertised list may be wider for negotiation purposes
@@ -168,6 +172,23 @@ _UNSAFE_NAME_BYTE = re.compile(rb"[^A-Za-z0-9.@+_-]")
 # a body line that would read as a message separator, quoted or not: mboxrd
 # (RFC 4155) quotes it with one more ">"
 _FROM_LINE = re.compile(rb"^(?=>*From )", re.MULTILINE)
+# a body that needs quoting is quoted and written in slices of about this
+# size: quoting a slice of short lines holds tens of times its size in pieces
+_QUOTE_SLICE_BYTES = 16384
+
+
+def _write_quoted(fh, body) -> None:
+    """Write ``body`` with its separator lines quoted, a slice at a time."""
+    if b"From " not in body:
+        fh.write(body)
+        return
+    start = 0
+    while start < len(body):
+        # a slice ends just after an LF: no line spans two, so quoting slice
+        # by slice quotes the lines that quoting the whole body would
+        end = body.find(b"\n", start + _QUOTE_SLICE_BYTES) + 1 or len(body)
+        fh.write(_FROM_LINE.sub(b">", body[start:end]))
+        start = end
 
 
 class MailboxSink:
@@ -200,8 +221,6 @@ class MailboxSink:
         ``OSError`` each one opened is cut back, and the error raised again."""
         stamp = time.asctime(time.gmtime(when))
         header = f"From {mail_from} {stamp}\nX-SpamFriction-Id: {message_id}\n".encode("latin-1")
-        if b"From " in body:
-            body = _FROM_LINE.sub(b">", body)
         with self._lock:
             opened: list[tuple[str, int]] = []  # (path, size before this delivery)
             try:
@@ -210,7 +229,7 @@ class MailboxSink:
                     with open(path, "ab") as fh:
                         opened.append((path, fh.tell()))
                         fh.write(header)
-                        fh.write(body)
+                        _write_quoted(fh, body)
                         if not body.endswith(b"\n"):
                             fh.write(b"\n")
                         fh.write(b"\n")
@@ -774,13 +793,21 @@ def serve_connection(core: MailServerCore, conn: socket.socket, peer_host: str) 
 
 
 class PowSmtpServer(socketserver.ThreadingTCPServer):
-    """Thread-per-session TCP front end."""
+    """TCP front end with one thread per open session.
+
+    A thread whose session ends waits for the next accepted connection, and
+    the one that went idle last takes it; a new thread starts only when none
+    is idle, so a slow session never delays another and open sessions are
+    not capped.  ``server_close`` ends the idle threads.
+    """
 
     allow_reuse_address = True
-    daemon_threads = True
 
     def __init__(self, listen_addr: tuple[str, int], core: MailServerCore):
         self.core = core
+        self._idle: list[queue.SimpleQueue] = []  # one hand-off per idle thread, newest last
+        self._idle_lock = threading.Lock()
+        self._closed = False
         super().__init__(listen_addr, None)  # finish_request serves each connection
 
     def verify_request(self, request, client_address) -> bool:
@@ -790,6 +817,33 @@ class PowSmtpServer(socketserver.ThreadingTCPServer):
 
     def finish_request(self, request, client_address) -> None:
         serve_connection(self.core, request, client_address[0])
+
+    def process_request(self, request, client_address) -> None:
+        with self._idle_lock:
+            handoff = self._idle.pop() if self._idle else None
+        if handoff is None:
+            # a daemon, so serve exits without waiting for open sessions
+            threading.Thread(target=self._serve_sessions, args=(request, client_address), daemon=True).start()
+        else:
+            handoff.put((request, client_address))
+
+    def _serve_sessions(self, request, client_address) -> None:
+        handoff = queue.SimpleQueue()
+        while request is not None:
+            self.process_request_thread(request, client_address)
+            with self._idle_lock:
+                if self._closed or len(self._idle) >= MAX_IDLE_SESSION_THREADS:
+                    return
+                self._idle.append(handoff)
+            request, client_address = handoff.get()
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._idle_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for handoff in idle:
+            handoff.put((None, None))
 
 
 def start_server(core: MailServerCore, listen_addr: tuple[str, int] = ("127.0.0.1", 0)):

@@ -450,6 +450,20 @@ def test_send_invalid_budget_exits_64(budget, capsys):
     assert "work_budget_seconds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["serve", "--listen", "nope"],
+    ["serve", "--listen", "host:99999", "--dump-effective-config"],
+    ["send", "--server", "nope", "--from", "a@x", "--to", "b@y"],
+    ["send", "--server", "host:notaport", "--from", "a@x", "--to", "b@y", "--dump-effective-config"],
+])
+def test_malformed_endpoint_is_a_usage_error(command, capsys):
+    # refused before a socket is bound, a body read or a connection made
+    assert cli.main(command) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command[0]}: ") and "endpoint" in err
+    assert err.count("\n") == 1
+
+
 def test_send_dump_effective_config_skips_network(capsys):
     code = cli.main(
         ["send", "--from", "a@x", "--to", "b@y", "--budget", "7.5", "--dump-effective-config"]

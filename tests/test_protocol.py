@@ -1,9 +1,11 @@
 """Server session state machine, receipt handling, legacy senders, client."""
 import io
 import mailbox
+import os
 import re
 import socket
 import struct
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -1218,6 +1220,65 @@ def test_mailbox_quotes_body_lines_that_read_as_separators(tmp_path):
         box.close()
 
 
+def mboxrd_quoted(body: bytes) -> bytes:
+    return b"\n".join(b">" + line if re.match(rb">*From ", line) else line for line in body.split(b"\n"))
+
+
+def test_mailbox_quotes_a_body_without_copying_it_whole(tmp_path):
+    sink = MailboxSink(tmp_path)
+    # short lines, so that quoting makes the most pieces
+    body = b"".join(b"%sFrom %d\r\n" % (b">" * (i % 3), i) for i in range(100_000))
+    assert len(body) >= 1 << 20
+    tracemalloc.start()
+    try:
+        sink.deliver("a@x", ["bob@ex.net"], body, "id1-000001-AA", 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(body)
+    box = (tmp_path / "bob@ex.net.mbox").read_bytes()
+    assert box.split(b"\n", 2)[2] == mboxrd_quoted(body) + b"\n"
+
+
+_BODY_LINES = st.one_of(
+    st.sampled_from([b"", b".", b"..", b"From ", b">From ", b">>From me", b"From the desk of X", b".From x", b"From"]),
+    st.builds(lambda lead, rest: lead + rest, st.sampled_from([b"From ", b">From ", b"."]), st.binary(max_size=12)),
+    st.binary(max_size=20),
+)
+_DELIVERIES = st.lists(
+    st.tuples(
+        st.lists(st.text(min_size=1, max_size=300), min_size=1, max_size=3),
+        st.lists(_BODY_LINES, max_size=8),
+        st.sampled_from([b"\n", b"\r\n"]),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(deliveries=_DELIVERIES)
+def test_mailboxes_read_back_every_delivery_as_sent(deliveries):
+    with tempfile.TemporaryDirectory() as directory:
+        sink = MailboxSink(directory)
+        expected: dict[str, list[bytes]] = {}
+        for n, (recipients, lines, eol) in enumerate(deliveries):
+            message_id = f"id{n:04d}-000001-AA"
+            body = eol.join(lines)
+            sink.deliver("a@x", recipients, body, message_id, float(n))
+            ending = b"" if body.endswith(b"\n") else b"\n"
+            record = b"X-SpamFriction-Id: %s\n%s%s" % (message_id.encode(), mboxrd_quoted(body), ending)
+            for rcpt in recipients:
+                expected.setdefault(rcpt, []).append(record)
+        # one file per distinct address, each holding that address's mail in order
+        assert len(os.listdir(directory)) == len(expected)
+        for rcpt, records in expected.items():
+            box = mailbox.mbox(os.path.join(directory, MailboxSink._mailbox_name(rcpt)), create=False)
+            try:
+                assert [box.get_bytes(key) for key in box.keys()] == records
+            finally:
+                box.close()
+
+
 def test_failed_delivery_leaves_every_mailbox_as_it_was(tmp_path):
     core = build_core()
     core.sink = MailboxSink(tmp_path)
@@ -1302,6 +1363,78 @@ def test_started_server_stops_promptly():
         assert time.monotonic() - started < 0.25
     finally:
         server.server_close()
+
+
+def record_delivering_threads(core) -> list:
+    """Make ``core.sink`` note the thread of every delivery in the list returned."""
+    threads = []
+    deliver = core.sink.deliver
+
+    def noting(*args):
+        threads.append(threading.current_thread())
+        deliver(*args)
+
+    core.sink.deliver = noting
+    return threads
+
+
+def send_ham(addr):
+    return send_message(
+        addr, Message("alice@example.org", ["bob@example.net"], b"meeting friend"), ClientConfig(), timeout=10,
+    )
+
+
+def test_sessions_one_after_another_reuse_their_threads():
+    core = build_core(clock=SystemClock())
+    threads = record_delivering_threads(core)
+    server, addr = start_server(core)
+    try:
+        for _ in range(20):
+            assert send_ham(addr).status is SendStatus.DELIVERED
+    finally:
+        server.shutdown()
+        server.server_close()
+    # the next connection can be accepted just before the last session's
+    # thread goes idle, so a second thread may start
+    assert len(threads) == 20
+    assert len(set(threads)) <= 2
+
+
+def test_a_silent_session_delays_no_other():
+    core = build_core(clock=SystemClock())
+    server, addr = start_server(core)
+    try:
+        assert send_ham(addr).status is SendStatus.DELIVERED
+        # the silent client holds the one idle thread: the next session needs another
+        with socket.create_connection(addr, timeout=10) as silent, silent.makefile("rb") as rfile:
+            assert read_reply(rfile)[0] == 250
+            started = time.monotonic()
+            assert send_ham(addr).status is SendStatus.DELIVERED
+            assert time.monotonic() - started < 5
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(core.sink.messages) == 2
+
+
+def test_server_close_ends_idle_session_threads():
+    core = build_core(clock=SystemClock())
+    threads = record_delivering_threads(core)
+    server, addr = start_server(core)
+    try:
+        # two at once, so that two threads serve them
+        with socket.create_connection(addr, timeout=10) as held, held.makefile("rb") as rfile:
+            assert read_reply(rfile)[0] == 250
+            assert send_ham(addr).status is SendStatus.DELIVERED
+            held.sendall(wire([*pow_transaction(), *HAM_BODY, ".", "QUIT"]))
+            assert [read_reply(rfile)[0] for _ in range(7)] == [250, 250, 250, 250, 354, 250, 221]
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(set(threads)) == 2
+    for thread in threads:
+        thread.join(5)
+        assert not thread.is_alive()
 
 
 def test_client_delivers_ham_over_tcp(tcp_server):
