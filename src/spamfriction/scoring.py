@@ -84,14 +84,18 @@ def tokenize(body: bytes) -> list[str]:
     return _TOKEN_RE.findall(_folded(body))
 
 
-def _weighted_token_re(token_weights: dict[str, float]) -> re.Pattern | None:
-    """A pattern whose matches in case-folded text are exactly the tokens
-    that carry a weight, or None when no key can be a token.
+def _weighted_token_re(token_weights: dict[str, float]) -> tuple[re.Pattern, re.Pattern] | None:
+    """Two patterns whose ``findall`` over an LF-led, case-folded text gives
+    exactly the tokens that carry a weight, in text order, or None when no
+    key can be a token: the first for an ASCII text, the second for any.
 
     A key that ``_TOKEN_RE`` does not match whole is never a token, so it is
-    left out; the lookarounds hold each match to a whole token.  The keys
-    form one alternation factored as a trie: a flat ``k1|k2|...`` would make
-    the engine try every key at every character of the body.
+    left out.  Each match starts with the separator before its token, so the
+    engine skips to the next separator in C instead of trying a match at
+    every character; after case folding an ASCII text has no upper-case
+    letters, so there ``[^a-z0-9]`` is the separator class ``[\\W_]``.  The
+    keys form one alternation factored as a trie: a flat ``k1|k2|...`` would
+    make the engine try every key at every separator.
     """
     trie: dict = {}
     for key in filter(_TOKEN_RE.fullmatch, token_weights):
@@ -101,7 +105,8 @@ def _weighted_token_re(token_weights: dict[str, float]) -> re.Pattern | None:
         node[""] = {}  # a key ends here
     if not trie:
         return None
-    return re.compile(r"(?<![^\W_])" + _alternation(trie) + r"(?![^\W_])")
+    token = "(" + _alternation(trie) + r")(?![^\W_])"
+    return re.compile("[^a-z0-9]" + token), re.compile(r"[\W_]" + token)
 
 
 def _alternation(node: dict) -> str:
@@ -122,17 +127,19 @@ def _alternation(node: dict) -> str:
     return "(?:" + "|".join(branches) + ")" + ("?" if "" in node else "")
 
 
-def _score(body: bytes, token_weights: dict[str, float], weighted: re.Pattern | None) -> float:
+def _score(body: bytes, token_weights: dict[str, float], weighted: tuple[re.Pattern, re.Pattern] | None) -> float:
     # only weighted tokens move the sum, so only they are matched, in text
     # order, and no list of every token is built
     evidence = 0.0
     start = 0
     while weighted is not None and start < len(body):
         # a slice ends just after an LF: no token spans one and no UTF-8
-        # sequence holds one, so slicing changes no match
+        # sequence holds one, so slicing changes no match, and the LF put
+        # before a slice stands for the character before it
         end = body.find(b"\n", start + _SLICE_BYTES) + 1 or len(body)
-        for match in weighted.finditer(_folded(body[start:end])):
-            evidence += token_weights[match.group()]
+        text = "\n" + _folded(body[start:end])
+        for key in weighted[not text.isascii()].findall(text):
+            evidence += token_weights[key]
         start = end
     return logistic(evidence)
 

@@ -172,23 +172,21 @@ _UNSAFE_NAME_BYTE = re.compile(rb"[^A-Za-z0-9.@+_-]")
 # a body line that would read as a message separator, quoted or not: mboxrd
 # (RFC 4155) quotes it with one more ">"
 _FROM_LINE = re.compile(rb"^(?=>*From )", re.MULTILINE)
-# a body that needs quoting is quoted and written in slices of about this
-# size: quoting a slice of short lines holds tens of times its size in pieces
-_QUOTE_SLICE_BYTES = 16384
 
 
 def _write_quoted(fh, body) -> None:
-    """Write ``body`` with its separator lines quoted, a slice at a time."""
+    """Write ``body`` with its separator lines quoted, without copying it:
+    the pieces between separator lines go out as views of the body."""
     if b"From " not in body:
         fh.write(body)
         return
-    start = 0
-    while start < len(body):
-        # a slice ends just after an LF: no line spans two, so quoting slice
-        # by slice quotes the lines that quoting the whole body would
-        end = body.find(b"\n", start + _QUOTE_SLICE_BYTES) + 1 or len(body)
-        fh.write(_FROM_LINE.sub(b">", body[start:end]))
-        start = end
+    with memoryview(body) as view:
+        start = 0
+        for match in _FROM_LINE.finditer(body):
+            fh.write(view[start:match.start()])
+            fh.write(b">")
+            start = match.start()
+        fh.write(view[start:])
 
 
 class MailboxSink:

@@ -7,7 +7,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spamfriction import scoring
@@ -62,9 +62,14 @@ def test_score_always_in_unit_interval(body, weights):
 
 
 # pieces that stress case folding and token edges: ß folds to ss, ǅ to ǆ and
-# İ to i plus a combining dot, which (like _ and -) splits tokens
-_PIECES = st.sampled_from(["a", "ab", "abc", "ss", "ß", "ǅ", "ǆ", "İ", "i", "\u0307", "_", "-", " ", "\r\n", "7"])
+# İ to i plus a combining dot, which (like _, -, . and the dash) splits
+# tokens; é is a letter, so élunch is one token and not lunch
+_PIECES = st.sampled_from(
+    ["a", "ab", "abc", "lunch", "ss", "ß", "ǅ", "ǆ", "İ", "i", "\u0307", "é", "_", "-", ".", "—", " ", "\r\n", "7"]
+)
 _WORDS = st.lists(_PIECES, max_size=4).map("".join)
+# keys that are prefixes of one another, so a match must not stop at a shorter one
+_PREFIX_KEYS = st.sampled_from(["a", "ab", "abc", "l", "lu", "lunch", "lunché"])
 
 
 def _whole_token_score(body, weights):
@@ -79,11 +84,14 @@ def _whole_token_score(body, weights):
 @given(
     body=st.one_of(st.lists(_PIECES, max_size=40).map(lambda p: "".join(p).encode()), st.binary(max_size=60)),
     weights=st.dictionaries(
-        st.one_of(_WORDS, st.text(max_size=4)),
+        st.one_of(_WORDS, _PREFIX_KEYS, st.text(max_size=4)),
         st.one_of(st.sampled_from([0.0, 5e-324, 1e308, -1e308]), st.floats(-50, 50)),
         max_size=12,
     ),
 )
+# a weighted token first in the body, in an ASCII body and in a non-ASCII one
+@example(body=b"lunch ab.abc", weights={"lunch": 0.5, "lu": 2.0, "a": 1.0, "ab": 0.25, "abc": 4.0})
+@example(body="abc—élunch é lunch".encode(), weights={"abc": 0.5, "lunch": 0.25, "lunché": 8.0, "é": 1.0})
 def test_builtin_score_matches_whole_token_sum(body, weights):
     expected = _whole_token_score(body, weights)
     assert scoring.builtin_score(body, weights) == expected
@@ -103,22 +111,40 @@ def test_builtin_score_holds_no_token_list():
     assert peak < 3 * len(body)
 
 
-def test_builtin_score_folds_a_large_body_in_slices():
+_SLICED_PIECES = ["spam", "Straße", "STRASSE", "ǅ", "İ", "\xe9", "lunch", "a_b", "x-y", " ", " ", "\r\n", "\n"]
+# small enough that the sum over a megabyte stays far from 0 and 1, where
+# the logistic would hide a wrong sum
+_SLICED_WEIGHTS = {"spam": 2e-4, "strasse": -1e-4, "ǆ": 3e-5, "i\u0307": 0.125, "\xe9": 1e-9, "lunch": -5e-5}
+
+
+def _mixed_body(rng):
+    text = "".join(rng.choice(_SLICED_PIECES) for _ in range(360_000))
+    return text.encode()[:1_000_000] + b"\xc3\n\xff" + "\xe9".encode()
+
+
+def _ascii_then_mixed_body(rng):
+    # the first slice is ASCII and ends with a weighted token, and the second
+    # is not ASCII and starts with one
+    ascii_lines = b"lunch filler spam\n" * (scoring._SLICE_BYTES // 18)
+    first = ascii_lines + b"x" * (scoring._SLICE_BYTES - len(ascii_lines)) + b" lunch\n"
+    assert first.find(b"\n", scoring._SLICE_BYTES) + 1 == len(first)
+    return first + b"spam " + _mixed_body(rng)[:900_000]
+
+
+@pytest.mark.parametrize("make_body", [_mixed_body, _ascii_then_mixed_body], ids=["mixed", "ascii-then-mixed"])
+def test_builtin_score_folds_a_large_body_in_slices(make_body):
     # non-ASCII text folds through a buffer of several bytes per character,
     # so folding the whole body at once would hold many times its size
-    rng = random.Random(5)
-    pieces = ["spam", "Straße", "STRASSE", "ǅ", "İ", "\xe9", "lunch", "a_b", "x-y", " ", " ", "\r\n", "\n"]
-    text = "".join(rng.choice(pieces) for _ in range(360_000))
-    body = text.encode()[:1_000_000] + b"\xc3\n\xff" + "\xe9".encode()
-    weights = {"spam": 0.25, "strasse": -0.5, "ǆ": 1e-3, "i\u0307": 0.125, "\xe9": 1e-9, "lunch": -0.0625}
-    expected = _whole_token_score(body, weights)
-    scorer = scoring.Scorer(scoring.ScorerConfig(token_weights=weights))
+    body = make_body(random.Random(5))
+    expected = _whole_token_score(body, _SLICED_WEIGHTS)
+    scorer = scoring.Scorer(scoring.ScorerConfig(token_weights=_SLICED_WEIGHTS))
     tracemalloc.start()
     try:
         value = scorer.score(body).value
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert 0.01 < expected < 0.99
     assert value == expected
     assert peak < 3 * len(body)
 
