@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from . import puzzle as pow
 from . import sim
-from .config import AppConfig, ConfigError, dump_effective, load_config, parse_endpoint
+from .config import AppConfig, ConfigError, dump_effective, format_endpoint, load_config, parse_endpoint
 from .scoring import Scorer
 from .smtp import (
     MailboxSink,
@@ -134,22 +134,31 @@ def _cmd_serve(args) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(levelname)s %(name)s %(message)s"
     )
+    try:
+        sink = MailboxSink(app.server.sink_dir)
+    except OSError as exc:
+        print(f"serve: cannot use sink directory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     core = MailServerCore(
         config=app.server,
         policy_config=app.policy,
         scorer=Scorer(app.scorer),
-        sink=MailboxSink(app.server.sink_dir),
+        sink=sink,
         legacy=app.legacy,
     )
-    server = PowSmtpServer(app.server.listen, core)
-    host, port = server.server_address[:2]
-    print(f"listening on {host}:{port}, delivering to {app.server.sink_dir}/", flush=True)
     try:
+        server = PowSmtpServer(app.server.listen, core)
+    except OSError as exc:
+        print(f"serve: cannot listen on {format_endpoint(app.server.listen)}: {exc}", file=sys.stderr)
+        return EXIT_TRANSPORT
+    endpoint = format_endpoint(server.server_address[:2])
+    print(f"listening on {endpoint}, delivering to {app.server.sink_dir}/", flush=True)
+    try:
+        # serve_forever runs in this thread, so it has stopped once it returns
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        server.shutdown()
         server.server_close()
     return EXIT_OK
 
@@ -296,21 +305,11 @@ def _cmd_simulate(args) -> int:
         if args.sweep_accuracies:
             accuracies = _parse_float_list(args.sweep_accuracies, "accuracy")
             burdens = _parse_float_list(args.sweep_burdens, "burden")
-            rows = sim.sweep(base, accuracies, burdens)
-            if args.csv:
-                sys.stdout.write(sim.sweep_csv(rows))
-            else:
-                print(f"{'fp':>8}{'fn':>8}{'burden':>10}{'ham avg':>12}{'spam avg':>12}{'sim ratio':>12}{'analytic':>12}")
-                for row in rows:
-                    analytic = "inf" if row.analytic_ratio == float("inf") else f"{row.analytic_ratio:.1f}"
-                    print(
-                        f"{row.false_positive_rate:>8.4f}{row.false_negative_rate:>8.4f}"
-                        f"{row.burden_seconds:>10.0f}{row.ham_avg_cost:>12.3f}"
-                        f"{row.spam_avg_cost:>12.3f}{row.simulated_ratio:>12.3f}{analytic:>12}"
-                    )
-            return EXIT_OK
-        report = sim.run(base)
-        sys.stdout.write(report.csv() if args.csv else report.table() + "\n")
+            reports = sim.sweep(base, accuracies, burdens)
+            sys.stdout.write(sim.sweep_csv(reports) if args.csv else sim.sweep_table(reports))
+        else:
+            report = sim.run(base)
+            sys.stdout.write(report.csv() if args.csv else report.table())
         return EXIT_OK
     except ValueError as exc:
         print(f"simulate: {exc}", file=sys.stderr)

@@ -33,6 +33,10 @@ DAY_SECONDS = 86_400.0
 # unbounded senders with nothing to pay for would send forever; cut them off
 DEFAULT_FREE_CAP = 100_000
 
+# the overflow path draws at most this many machine-days at once; it holds
+# about 45 bytes per machine-day drawn, so its memory stays bounded
+_OVERFLOW_BLOCK = 2**16
+
 
 @dataclass(frozen=True)
 class CohortSpec:
@@ -78,12 +82,12 @@ class SimConfig:
             raise ValueError("false_positive_rate must be in [0, 1)")
         if not 0.0 <= self.false_negative_rate < 1.0:
             raise ValueError("false_negative_rate must be in [0, 1)")
-        if not self.burden_seconds >= 0:  # NaN too
-            raise ValueError("burden_seconds must be non-negative")
+        if not 0 <= self.burden_seconds < math.inf:  # NaN too
+            raise ValueError("burden_seconds must be finite and non-negative")
         if self.days < 1:
             raise ValueError("days must be at least 1")
-        if not self.day_seconds > 0:
-            raise ValueError("day_seconds must be positive")
+        if not 0 < self.day_seconds < math.inf:
+            raise ValueError("day_seconds must be finite and positive")
         if not self.cohorts:
             raise ValueError("at least one cohort is required")
         names = [c.name for c in self.cohorts]
@@ -175,39 +179,39 @@ class SimReport:
                 f"{c.delivered_per_machine_day(self.config.days):>14.2f}"
                 + ("  (capped)" if c.capped else "")
             )
-        ratio = self.cost_ratio
-        ratio_text = "inf" if math.isinf(ratio) else f"{ratio:.1f}"
-        analytic = self.analytic
-        analytic_text = "inf" if math.isinf(analytic.advantage_ratio) else f"{analytic.advantage_ratio:.1f}"
-        rows.append("")
-        rows.append(f"ham avg cost/delivery:  {self.ham_avg_cost:.3f} s")
-        rows.append(f"spam avg cost/delivery: {self.spam_avg_cost:.3f} s")
-        rows.append(f"simulated cost ratio:   {ratio_text}")
-        rows.append(f"analytic cost ratio:    {analytic_text}")
-        rows.append(f"spam delivered per day: {self.spam_delivered_per_day:.1f}")
-        return "\n".join(rows)
+        # a float format writes an infinite ratio as "inf"
+        rows += [
+            "",
+            f"ham avg cost/delivery:  {self.ham_avg_cost:.3f} s",
+            f"spam avg cost/delivery: {self.spam_avg_cost:.3f} s",
+            f"simulated cost ratio:   {self.cost_ratio:.1f}",
+            f"analytic cost ratio:    {self.analytic.advantage_ratio:.1f}",
+            f"spam delivered per day: {self.spam_delivered_per_day:.1f}",
+        ]
+        return "\n".join(rows) + "\n"
 
     def csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
+        return _csv(
+            ["cohort", "kind", "machines", "days", "attempted", "delivered",
+             "resisted", "refused", "work_seconds", "avg_cost_seconds",
+             "delivered_per_machine_day", "capped"],
             [
-                "cohort", "kind", "machines", "days", "attempted", "delivered",
-                "resisted", "refused", "work_seconds", "avg_cost_seconds",
-                "delivered_per_machine_day", "capped",
-            ]
+                [c.spec.name, c.spec.kind, c.spec.machines, self.config.days,
+                 c.attempted, c.delivered, c.resisted, c.refused,
+                 f"{c.work_seconds:.3f}", f"{c.avg_cost:.6f}",
+                 f"{c.delivered_per_machine_day(self.config.days):.6f}",
+                 int(c.capped)]
+                for c in self.cohorts
+            ],
         )
-        for c in self.cohorts:
-            writer.writerow(
-                [
-                    c.spec.name, c.spec.kind, c.spec.machines, self.config.days,
-                    c.attempted, c.delivered, c.resisted, c.refused,
-                    f"{c.work_seconds:.3f}", f"{c.avg_cost:.6f}",
-                    f"{c.delivered_per_machine_day(self.config.days):.6f}",
-                    int(c.capped),
-                ]
-            )
-        return buf.getvalue()
+
+
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _run_unbounded(spec, config, p, cost, rng) -> CohortResult:
@@ -256,13 +260,14 @@ def _run_bounded(spec, config, p, cost, rng) -> CohortResult:
         result.work_seconds = resisted * cost
         return result
     paid = int(config.day_seconds // cost)
-    per_machine = rng.binomial(quota, p, size=machine_days)
-    fits = per_machine <= paid
-    over = per_machine[~fits]
-    free = rng.binomial(quota - over, rng.beta(paid + 1, over - paid))
-    result.delivered = int(fits.sum()) * quota + len(over) * paid + int(free.sum())
-    result.resisted = int(per_machine[fits].sum()) + len(over) * paid
-    result.refused = len(over)
+    for start in range(0, machine_days, _OVERFLOW_BLOCK):
+        per_machine = rng.binomial(quota, p, size=min(_OVERFLOW_BLOCK, machine_days - start))
+        fits = per_machine <= paid
+        over = per_machine[~fits]
+        free = rng.binomial(quota - over, rng.beta(paid + 1, over - paid))
+        result.delivered += int(fits.sum()) * quota + len(over) * paid + int(free.sum())
+        result.resisted += int(per_machine[fits].sum()) + len(over) * paid
+        result.refused += len(over)
     result.work_seconds = float(result.resisted) * cost
     return result
 
@@ -285,63 +290,46 @@ def run(config: SimConfig) -> SimReport:
     return SimReport(config, results)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    false_positive_rate: float
-    false_negative_rate: float
-    burden_seconds: float
-    ham_avg_cost: float
-    spam_avg_cost: float
-    simulated_ratio: float
-    analytic_ratio: float
-
-
-def sweep(base: SimConfig, accuracies, burdens) -> list[SweepRow]:
-    """Re-run the base scenario across a filter-accuracy x burden grid.
+def sweep(base: SimConfig, accuracies, burdens) -> list[SimReport]:
+    """Re-run the base scenario across a filter-accuracy x burden grid, one
+    report per point, accuracy-major.
 
     ``accuracies`` are symmetric: accuracy a means fp = fn = 1 - a.
     """
-    rows = []
-    for accuracy in accuracies:
-        if not 0.0 < accuracy <= 1.0:
-            raise ValueError("accuracy must be in (0, 1]")
-        rate = 1.0 - accuracy
-        for burden in burdens:
-            config = replace(
-                base,
-                false_positive_rate=rate,
-                false_negative_rate=rate,
-                burden_seconds=float(burden),
-            )
-            report = run(config)
-            rows.append(
-                SweepRow(
-                    false_positive_rate=rate,
-                    false_negative_rate=rate,
-                    burden_seconds=float(burden),
-                    ham_avg_cost=report.ham_avg_cost,
-                    spam_avg_cost=report.spam_avg_cost,
-                    simulated_ratio=report.cost_ratio,
-                    analytic_ratio=report.analytic.advantage_ratio,
-                )
-            )
-    return rows
+    if not all(0.0 < accuracy <= 1.0 for accuracy in accuracies):
+        raise ValueError("accuracy must be in (0, 1]")
+    configs = [
+        replace(base, false_positive_rate=1.0 - accuracy, false_negative_rate=1.0 - accuracy,
+                burden_seconds=float(burden))
+        for accuracy in accuracies
+        for burden in burdens
+    ]
+    return [run(config) for config in configs]
 
 
-def sweep_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["false_positive_rate", "false_negative_rate", "burden_seconds",
-         "ham_avg_cost", "spam_avg_cost", "simulated_ratio", "analytic_ratio"]
-    )
-    for row in rows:
-        writer.writerow(
-            [row.false_positive_rate, row.false_negative_rate, row.burden_seconds,
-             f"{row.ham_avg_cost:.6f}", f"{row.spam_avg_cost:.6f}",
-             f"{row.simulated_ratio:.6f}", f"{row.analytic_ratio:.6f}"]
+def sweep_table(reports) -> str:
+    rows = [f"{'fp':>8}{'fn':>8}{'burden':>10}{'ham avg':>12}{'spam avg':>12}{'sim ratio':>12}{'analytic':>12}"]
+    for r in reports:
+        c = r.config
+        rows.append(
+            f"{c.false_positive_rate:>8.4f}{c.false_negative_rate:>8.4f}{c.burden_seconds:>10.0f}"
+            f"{r.ham_avg_cost:>12.3f}{r.spam_avg_cost:>12.3f}{r.cost_ratio:>12.3f}"
+            f"{r.analytic.advantage_ratio:>12.1f}"
         )
-    return buf.getvalue()
+    return "\n".join(rows) + "\n"
+
+
+def sweep_csv(reports) -> str:
+    return _csv(
+        ["false_positive_rate", "false_negative_rate", "burden_seconds",
+         "ham_avg_cost", "spam_avg_cost", "simulated_ratio", "analytic_ratio"],
+        [
+            [r.config.false_positive_rate, r.config.false_negative_rate, r.config.burden_seconds,
+             f"{r.ham_avg_cost:.6f}", f"{r.spam_avg_cost:.6f}",
+             f"{r.cost_ratio:.6f}", f"{r.analytic.advantage_ratio:.6f}"]
+            for r in reports
+        ],
+    )
 
 
 # Reference scenarios: a botnet of 10,000 machines sending flat out against

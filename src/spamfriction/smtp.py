@@ -790,7 +790,7 @@ def serve_connection(core: MailServerCore, conn: socket.socket, peer_host: str) 
         conn.close()
 
 
-class PowSmtpServer(socketserver.ThreadingTCPServer):
+class PowSmtpServer(socketserver.TCPServer):
     """TCP front end with one thread per open session.
 
     A thread whose session ends waits for the next accepted connection, and
@@ -806,15 +806,14 @@ class PowSmtpServer(socketserver.ThreadingTCPServer):
         self._idle: list[queue.SimpleQueue] = []  # one hand-off per idle thread, newest last
         self._idle_lock = threading.Lock()
         self._closed = False
-        super().__init__(listen_addr, None)  # finish_request serves each connection
+        # an IPv6 literal needs an AF_INET6 socket; a name or IPv4 address binds AF_INET
+        self.address_family = socket.AF_INET6 if ":" in listen_addr[0] else socket.AF_INET
+        super().__init__(listen_addr, None)  # _serve_sessions serves each connection
 
     def verify_request(self, request, client_address) -> bool:
         # overload mode a: refuse connections from hosts with sessions
         # already waiting on a burden
         return self.core.traffic.connection_allowed(client_address[0])
-
-    def finish_request(self, request, client_address) -> None:
-        serve_connection(self.core, request, client_address[0])
 
     def process_request(self, request, client_address) -> None:
         with self._idle_lock:
@@ -828,7 +827,7 @@ class PowSmtpServer(socketserver.ThreadingTCPServer):
     def _serve_sessions(self, request, client_address) -> None:
         handoff = queue.SimpleQueue()
         while request is not None:
-            self.process_request_thread(request, client_address)
+            serve_connection(self.core, request, client_address[0])
             with self._idle_lock:
                 if self._closed or len(self._idle) >= MAX_IDLE_SESSION_THREADS:
                     return
@@ -845,7 +844,7 @@ class PowSmtpServer(socketserver.ThreadingTCPServer):
 
 
 def start_server(core: MailServerCore, listen_addr: tuple[str, int] = ("127.0.0.1", 0)):
-    """Start a server thread; returns (server, bound_address).
+    """Start a server thread; returns (server, (host, port)).
 
     The thread checks for ``shutdown`` every 0.05 s, not socketserver's
     0.5 s, so a stop takes at most about 0.05 s; ``serve`` keeps the
@@ -854,7 +853,7 @@ def start_server(core: MailServerCore, listen_addr: tuple[str, int] = ("127.0.0.
     server = PowSmtpServer(listen_addr, core)
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
-    return server, server.server_address
+    return server, server.server_address[:2]
 
 
 # -- client ----------------------------------------------------------------------

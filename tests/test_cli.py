@@ -2,6 +2,8 @@
 import csv
 import io
 import os
+import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ from spamfriction.config import (
     load_config,
     parse_endpoint,
 )
-from spamfriction.smtp import start_server
+from spamfriction.smtp import PowSmtpServer, start_server
 
 
 # -- argument handling -------------------------------------------------------
@@ -146,6 +148,37 @@ def test_simulate_sweep(capsys):
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == 5  # header + 2x2 grid
     assert cli.main(["simulate", "--sweep-accuracies", "0.95"]) == 64
+
+
+def test_simulate_sweep_table(capsys):
+    code = cli.main(
+        [
+            "simulate", "--cohort", "users:ham:5:10", "--cohort", "bots:spam:5",
+            "--sweep-accuracies", "0.95,1.0", "--sweep-burdens", "60,3600",
+        ]
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["fp", "fn", "burden", "ham", "avg", "spam", "avg", "sim", "ratio", "analytic"]
+    rows = [line.split() for line in lines[1:]]
+    assert [(row[0], row[2]) for row in rows] == [
+        ("0.0500", "60"), ("0.0500", "3600"), ("0.0000", "60"), ("0.0000", "3600"),
+    ]
+    for row in rows[2:]:
+        assert row[-2:] == ["inf", "inf"]
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--burden", "inf"], "burden_seconds"),
+    (["--day-seconds", "inf"], "day_seconds"),
+    (["--sweep-accuracies", "0.99", "--sweep-burdens", "60,inf"], "burden_seconds"),
+])
+def test_simulate_rejects_infinite_durations(args, field, capsys):
+    assert cli.main(["simulate", *args]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"simulate: {field} must be finite")
+    assert captured.err.count("\n") == 1
 
 
 # -- configuration ------------------------------------------------------------------
@@ -426,8 +459,6 @@ def test_send_rejected_exits_three(live_server, tmp_path, capsys):
 
 
 def test_send_transport_failure_exits_four(tmp_path, capsys):
-    import socket
-
     probe = socket.create_server(("127.0.0.1", 0))
     host, port = probe.getsockname()
     probe.close()
@@ -462,6 +493,36 @@ def test_malformed_endpoint_is_a_usage_error(command, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"{command[0]}: ") and "endpoint" in err
     assert err.count("\n") == 1
+
+
+def test_serve_prints_bracketed_ipv6_endpoint(tmp_path, monkeypatch, capsys):
+    def interrupted(self, poll_interval=0.5):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(PowSmtpServer, "serve_forever", interrupted)
+    assert cli.main(["serve", "--listen", "[::1]:0", "--sink-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert re.fullmatch(rf"listening on \[::1\]:\d+, delivering to {re.escape(str(tmp_path))}/\n", out)
+
+
+def test_serve_port_in_use_exits_four(tmp_path, capsys):
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        assert cli.main(["serve", "--listen", f"127.0.0.1:{port}", "--sink-dir", str(tmp_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"serve: cannot listen on 127.0.0.1:{port}: ")
+    assert "Address already in use" in captured.err and captured.err.count("\n") == 1
+
+
+def test_serve_unusable_sink_dir_exits_78(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["serve", "--listen", "127.0.0.1:0", "--sink-dir", str(blocker / "mail")]) == 78
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("serve: cannot use sink directory: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_send_dump_effective_config_skips_network(capsys):

@@ -1437,6 +1437,18 @@ def test_sessions_one_after_another_reuse_their_threads():
     assert len(set(threads)) <= 2
 
 
+def test_server_delivers_over_ipv6_loopback():
+    core = build_core(clock=SystemClock())
+    server, addr = start_server(core, ("::1", 0))
+    try:
+        assert addr[0] == "::1" and len(addr) == 2
+        assert send_ham(addr).status is SendStatus.DELIVERED
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(core.sink.messages) == 1
+
+
 def test_a_silent_session_delays_no_other():
     core = build_core(clock=SystemClock())
     server, addr = start_server(core)
@@ -1625,19 +1637,23 @@ def test_session_fault_counts_as_disconnect(monkeypatch):
         server.server_close()
 
 
-def test_reset_connection_counts_as_disconnect(caplog):
+def test_reset_connection_counts_as_disconnect(caplog, monkeypatch):
     core = build_core(clock=SystemClock(), sinbin=SinBinConfig(max_refusals=2))
     server, addr = start_server(core)
     finished = threading.Event()
     errors = []
-    shutdown_request = server.shutdown_request
+    serve_connection = smtp.serve_connection
 
-    def shut_down(request):
-        shutdown_request(request)
-        finished.set()
+    def serving(*args):
+        try:
+            serve_connection(*args)
+        except BaseException as exc:
+            errors.append(exc)
+            raise
+        finally:
+            finished.set()
 
-    server.shutdown_request = shut_down  # called once a connection is served
-    server.handle_error = lambda request, client_address: errors.append(client_address)
+    monkeypatch.setattr(smtp, "serve_connection", serving)
     try:
         with caplog.at_level("INFO", logger="spamfriction.server"):
             conn = socket.create_connection(addr, timeout=10)

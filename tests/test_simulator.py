@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -48,6 +49,10 @@ def test_config_validation():
         one_cohort_config(burden=math.nan, quota=10)
     with pytest.raises(ValueError):
         one_cohort_config(day_seconds=math.nan)
+    with pytest.raises(ValueError, match="burden_seconds"):
+        one_cohort_config(burden=math.inf)
+    with pytest.raises(ValueError, match="day_seconds"):
+        one_cohort_config(day_seconds=math.inf)
     with pytest.raises(ValueError):
         one_cohort_config(days=0)
     with pytest.raises(ValueError):
@@ -210,6 +215,24 @@ def test_bounded_closed_form_matches_message_level_oracle():
     assert closed.work_seconds == pytest.approx(closed.resisted * cost)
 
 
+def test_bounded_closed_form_holds_across_blocks(monkeypatch):
+    # 4000 machine-days in 41 full blocks and a partial one
+    monkeypatch.setattr(sim, "_OVERFLOW_BLOCK", 97)
+    test_bounded_closed_form_matches_message_level_oracle()
+
+
+def test_bounded_overflow_memory_stays_small():
+    config = one_cohort_config(kind="ham", machines=10_000, days=100, quota=10, fp=0.5)
+    tracemalloc.start()
+    try:
+        result = sim.run(config).cohorts[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.refused > 0  # the overflow path ran, on 1,000,000 machine-days
+    assert peak < 8 * 2**20
+
+
 def test_report_aggregates_and_ratio():
     config = sim.SimConfig(
         false_positive_rate=0.05,
@@ -265,12 +288,13 @@ def test_table_and_csv_outputs():
 
 def test_sweep_covers_grid():
     base = one_cohort_config(machines=5, quota=10, day_seconds=1e6)
-    rows = sim.sweep(base, accuracies=[0.95, 0.999], burdens=[60.0, 3600.0])
-    assert len(rows) == 4
-    assert sorted({r.false_positive_rate for r in rows}) == pytest.approx([0.001, 0.05])
-    for row in rows:
-        assert row.analytic_ratio == pytest.approx((1 - row.false_positive_rate) / row.false_positive_rate)
-    text = sim.sweep_csv(rows)
+    reports = sim.sweep(base, accuracies=[0.95, 0.999], burdens=[60.0, 3600.0])
+    assert len(reports) == 4
+    assert sorted({r.config.false_positive_rate for r in reports}) == pytest.approx([0.001, 0.05])
+    for report in reports:
+        fp = report.config.false_positive_rate
+        assert report.analytic.advantage_ratio == pytest.approx((1 - fp) / fp)
+    text = sim.sweep_csv(reports)
     parsed = list(csv.reader(io.StringIO(text)))
     assert len(parsed) == 5
     with pytest.raises(ValueError):
