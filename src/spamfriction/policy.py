@@ -10,6 +10,7 @@ leaks less about the underlying filter.
 from __future__ import annotations
 
 import enum
+import ipaddress
 import math
 import random
 import threading
@@ -105,8 +106,25 @@ class PolicyConfig:
         self.whitelist = frozenset(entry.casefold() for entry in self.whitelist)
 
 
+def peer_key(host: str) -> str:
+    """The key that per-peer state is kept under: an IPv4 address as itself,
+    an IPv6 address by its /64, and ``::ffff:a.b.c.d`` as ``a.b.c.d``.  A
+    single site is routinely given a whole /64, so keying by the full IPv6
+    address would let one sender shed its block by changing address."""
+    if ":" not in host:
+        return host
+    try:
+        address = ipaddress.IPv6Address(host)
+    except ValueError:
+        return host
+    if address.ipv4_mapped:
+        return str(address.ipv4_mapped)
+    return f"{ipaddress.IPv6Address(int(address) >> 64 << 64)}/64"
+
+
 class SinBin:
-    """Per-host refusal tracking with temporary blocks.
+    """Per-peer refusal tracking with temporary blocks, keyed by
+    :func:`peer_key`.
 
     A host that declines the delivery burden ``max_refusals`` times within
     ``window`` seconds is blocked for ``block_duration`` seconds.  A
@@ -138,6 +156,7 @@ class SinBin:
 
     def blocked_until(self, host: str, now: float) -> float | None:
         """The block expiry for this host, or None if it may deliver."""
+        host = peer_key(host)
         with self._lock:
             self._prune(now)
             until = self._blocked_until.get(host)
@@ -146,6 +165,7 @@ class SinBin:
             return until
 
     def record_refusal(self, host: str, now: float) -> None:
+        host = peer_key(host)
         cfg = self.config
         with self._lock:
             self._prune(now)
@@ -160,6 +180,7 @@ class SinBin:
                 self._refusals[host] = ring
 
     def record_success(self, host: str) -> None:
+        host = peer_key(host)
         with self._lock:
             self._refusals.pop(host, None)
 

@@ -13,13 +13,22 @@ at most once, until the puzzle is released.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 import random
 import threading
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
+
+# CPython's own SHA-256: hashlib would load OpenSSL's libcrypto into every
+# process (3.6 MiB resident), and on inputs this short it hashes faster
+try:
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:  # a build without the built-in hashes
+        from hashlib import sha256
 
 ALG_BASELINE = 0
 
@@ -189,7 +198,7 @@ def verify_hash(puzzle: Puzzle, solution: str) -> bool:
     if puzzle.algorithm != ALG_BASELINE:
         raise UnsupportedAlgorithmError(f"cannot verify algorithm {puzzle.algorithm}")
     message = f"{puzzle.algorithm}:{puzzle.difficulty}:{puzzle.nonce}:{solution}"
-    return hashlib.sha256(message.encode("ascii")).digest() <= _bound(puzzle.difficulty)
+    return sha256(message.encode("ascii")).digest() <= _bound(puzzle.difficulty)
 
 
 # the solver hashes counter c as the decimal stem c // 100 followed by a
@@ -218,7 +227,7 @@ def solve(puzzle: Puzzle, start_counter: int = 0, attempt_cap: int | None = None
     if attempt_cap is not None and attempt_cap < 0:
         raise ValueError("attempt_cap must be non-negative")
     bound = _bound(puzzle.difficulty)
-    midstate = hashlib.sha256(f"{puzzle.algorithm}:{puzzle.difficulty}:{puzzle.nonce}:".encode("ascii"))
+    midstate = sha256(f"{puzzle.algorithm}:{puzzle.difficulty}:{puzzle.nonce}:".encode("ascii"))
     end = None if attempt_cap is None else start_counter + attempt_cap
     counter = start_counter
     while end is None or counter < end:

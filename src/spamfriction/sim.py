@@ -129,33 +129,36 @@ class SimReport:
                 return result
         raise KeyError(name)
 
-    def _totals(self, kind: str) -> tuple[int, float]:
-        delivered = sum(c.delivered for c in self.cohorts if c.spec.kind == kind)
-        work = sum(c.work_seconds for c in self.cohorts if c.spec.kind == kind)
-        return delivered, work
+    def _per_delivered(self, kind: str, field_name: str) -> float:
+        """A cohort field summed over one kind, per message of it delivered."""
+        cohorts = [c for c in self.cohorts if c.spec.kind == kind]
+        delivered = sum(c.delivered for c in cohorts)
+        return sum(getattr(c, field_name) for c in cohorts) / delivered if delivered else 0.0
 
     @property
     def ham_avg_cost(self) -> float:
-        delivered, work = self._totals(KIND_HAM)
-        return work / delivered if delivered else 0.0
+        return self._per_delivered(KIND_HAM, "work_seconds")
 
     @property
     def spam_avg_cost(self) -> float:
-        delivered, work = self._totals(KIND_SPAM)
-        return work / delivered if delivered else 0.0
+        return self._per_delivered(KIND_SPAM, "work_seconds")
 
     @property
     def cost_ratio(self) -> float:
-        """Per-delivery cost multiple paid by spammers relative to ham."""
+        """Per-delivery cost multiple paid by spammers relative to ham.  When
+        neither kind paid (a zero burden), the burden cancels and the ratio is
+        that of resisted messages per delivery, as in
+        :func:`policy.expected_costs`; infinite when no ham was resisted."""
         ham = self.ham_avg_cost
         spam = self.spam_avg_cost
-        if ham == 0.0:
-            return math.inf if spam > 0.0 else 0.0
-        return spam / ham
+        if ham == spam == 0.0:
+            ham = self._per_delivered(KIND_HAM, "resisted")
+            spam = self._per_delivered(KIND_SPAM, "resisted")
+        return spam / ham if ham else math.inf
 
     @property
     def spam_delivered_per_day(self) -> float:
-        delivered, _ = self._totals(KIND_SPAM)
+        delivered = sum(c.delivered for c in self.cohorts if c.spec.kind == KIND_SPAM)
         return delivered / self.config.days
 
     @property

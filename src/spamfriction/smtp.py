@@ -19,7 +19,6 @@ issued-puzzle store, the sin bin, and the per-host traffic counters.
 from __future__ import annotations
 
 import enum
-import hashlib
 import logging
 import math
 import os
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 
 from . import puzzle as pow
 from .clock import SystemClock
-from .policy import Decision, DecisionKind, PolicyConfig, SinBin, decide
+from .policy import Decision, DecisionKind, PolicyConfig, SinBin, decide, peer_key
 from .scoring import Scorer, ScorerConfig, SpamScore
 
 logger = logging.getLogger("spamfriction.server")
@@ -134,8 +133,9 @@ class LegacyPolicy:
 
 
 class HostTraffic:
-    """Per-host count of sessions currently holding the server's patience:
-    awaiting a POW receipt or sitting out the legacy delay."""
+    """Per-peer count of sessions currently holding the server's patience:
+    awaiting a POW receipt or sitting out the legacy delay.  Peers are keyed
+    by :func:`policy.peer_key`, so one IPv6 /64 holds one count."""
 
     def __init__(self, legacy: LegacyPolicy):
         self.legacy = legacy
@@ -143,14 +143,17 @@ class HostTraffic:
         self._lock = threading.Lock()
 
     def burdened_count(self, host: str) -> int:
+        host = peer_key(host)
         with self._lock:
             return self._burdened.get(host, 0)
 
     def enter_burdened(self, host: str) -> None:
+        host = peer_key(host)
         with self._lock:
             self._burdened[host] = self._burdened.get(host, 0) + 1
 
     def leave_burdened(self, host: str) -> None:
+        host = peer_key(host)
         with self._lock:
             count = self._burdened.get(host, 0) - 1
             if count <= 0:
@@ -210,7 +213,7 @@ class MailboxSink:
             # a file name holds at most 255 bytes: keep the start of a longer
             # one and tell addresses apart by a digest, after a "~" that the
             # encoding above leaves in no uncut name
-            digest = hashlib.sha256(recipient.encode()).hexdigest()[:32]
+            digest = pow.sha256(recipient.encode()).hexdigest()[:32]
             safe = f"{safe[:_NAME_MAX - len('~.mbox') - len(digest)]}~{digest}"
         return f"{safe}.mbox"
 

@@ -548,6 +548,22 @@ assert "numpy" not in sys.modules, "numpy loaded at import"
 spamfriction.sim.run(spamfriction.sim.preset("paper-20"))
 assert "numpy" in sys.modules
 """
+    run_fresh(code)
+
+
+def test_no_process_loads_openssl():
+    # puzzles hash ~30-byte strings: CPython's own SHA-256 does that without
+    # OpenSSL's libcrypto, which costs every server and client 3.6 MiB
+    run_fresh("""
+import sys
+import spamfriction.cli, spamfriction.config, spamfriction.smtp
+loaded = {"_hashlib", "ssl"} & set(sys.modules)
+assert not loaded, loaded
+""")
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports the package from src/."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)

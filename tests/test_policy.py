@@ -15,6 +15,7 @@ from spamfriction.policy import (
     expected_costs,
 )
 from spamfriction.scoring import SpamScore
+from spamfriction.smtp import HostTraffic, LegacyPolicy
 
 
 def make_decide(score, config=None, sinbin=None, host="h.example", addr="a@b", now=0.0, rng=None):
@@ -109,6 +110,43 @@ def test_success_clears_refusal_ring():
     sinbin.record_refusal("h", 2.0)
     sinbin.record_refusal("h", 3.0)
     assert sinbin.blocked_until("h", 4.0) is None
+
+
+def test_sin_bin_keys_ipv6_peers_by_their_slash_64():
+    # one sender holds a whole /64: rotating through it must not shed a block
+    sinbin = SinBin(SinBinConfig(max_refusals=2, window=100.0, block_duration=500.0))
+    sinbin.record_refusal("2001:db8:1:2::1", 0.0)
+    sinbin.record_refusal("2001:db8:1:2:ffff:ffff:ffff:fffe", 1.0)
+    assert sinbin.blocked_until("2001:db8:1:2::dead:beef", 2.0) == 501.0
+    decision = make_decide(0.0, sinbin=sinbin, host="2001:db8:1:2::7", now=2.0)
+    assert decision.kind is DecisionKind.BLOCKED
+    assert sinbin.blocked_until("2001:db8:1:3::1", 2.0) is None
+    sinbin.record_success("2001:db8:1:3::2")
+    assert sinbin.blocked_until("2001:db8:1:2::1", 2.0) == 501.0
+
+
+def test_sin_bin_counts_a_mapped_peer_as_its_ipv4_host():
+    sinbin = SinBin(SinBinConfig(max_refusals=2, window=100.0, block_duration=500.0))
+    sinbin.record_refusal("192.0.2.7", 0.0)
+    sinbin.record_refusal("::ffff:192.0.2.7", 1.0)
+    assert sinbin.blocked_until("192.0.2.7", 2.0) == 501.0
+    assert sinbin.blocked_until("::ffff:192.0.2.8", 2.0) is None
+
+
+def test_host_traffic_keys_peers_by_network():
+    traffic = HostTraffic(LegacyPolicy(max_connections_per_host=2))
+    traffic.enter_burdened("2001:db8:1:2::1")
+    traffic.enter_burdened("2001:db8:1:2::2")
+    assert traffic.burdened_count("2001:db8:1:2::3") == 2
+    assert not traffic.connection_allowed("2001:db8:1:2::4")
+    assert traffic.burdened_count("2001:db8:1:3::1") == 0
+    assert traffic.connection_allowed("2001:db8:1:3::1")
+    traffic.enter_burdened("::ffff:192.0.2.7")
+    assert traffic.burdened_count("192.0.2.7") == 1
+    traffic.leave_burdened("192.0.2.7")
+    traffic.leave_burdened("2001:db8:1:2::9")
+    assert traffic.burdened_count("::ffff:192.0.2.7") == 0
+    assert traffic.burdened_count("2001:db8:1:2::1") == 1
 
 
 class ReferenceSinBin:

@@ -1,4 +1,5 @@
 """Server session state machine, receipt handling, legacy senders, client."""
+import hashlib
 import io
 import mailbox
 import os
@@ -1206,6 +1207,14 @@ def test_mailbox_names_keep_distinct_addresses_apart(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "eve%252Fx@bad.mbox", "eve%2Fx@bad.mbox", "eve_x@bad.mbox",
     ]
+
+
+def test_long_mailbox_name_ends_in_its_address_digest():
+    recipient = "x" * 300 + "@example.org"
+    digest = hashlib.sha256(recipient.encode()).hexdigest()[:32]
+    name = MailboxSink._mailbox_name(recipient)
+    assert name == "x" * (255 - len("~.mbox") - 32) + "~" + digest + ".mbox"
+    assert digest == "09c64bd540659e1b03059b8d52f15dbc"
 
 
 def test_mailbox_quotes_body_lines_that_read_as_separators(tmp_path):

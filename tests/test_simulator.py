@@ -4,6 +4,7 @@ import io
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -272,6 +273,33 @@ def test_ratio_infinite_when_ham_never_pays():
     report = sim.run(config)
     assert report.ham_avg_cost == 0.0
     assert math.isinf(report.cost_ratio)
+    # at a zero burden nobody pays, and no ham is resisted either
+    assert math.isinf(sim.run(replace(config, burden_seconds=0.0)).cost_ratio)
+
+
+def test_zero_burden_sweep_row_reads_the_resist_rate_quotient():
+    # with nothing paid, the ratio is resisted shares per delivery, the
+    # quotient policy.expected_costs gives: (1 - fn) / fp = 19 at 95%
+    base = sim.SimConfig(
+        false_positive_rate=0.05,
+        false_negative_rate=0.05,
+        burden_seconds=60.0,
+        seed=4,
+        cohorts=(
+            sim.CohortSpec(name="users", kind="ham", machines=1000, quota=24),
+            sim.CohortSpec(name="bots", kind="spam", machines=100, quota=100),
+        ),
+    )
+    (report,) = sim.sweep(base, accuracies=[0.95], burdens=[0])
+    assert report.ham_avg_cost == report.spam_avg_cost == 0.0
+    assert report.analytic.advantage_ratio == pytest.approx(19.0)
+    # delta-method standard error of a quotient of two binomial shares
+    ham_n, spam_n = 1000 * 24, 100 * 100
+    relative_se = math.sqrt(0.95 / (0.05 * ham_n) + 0.05 / (0.95 * spam_n))
+    assert abs(report.cost_ratio - 19.0) < 4 * 19.0 * relative_se
+    resisted_ham = report.cohort("users").resisted / report.cohort("users").delivered
+    resisted_spam = report.cohort("bots").resisted / report.cohort("bots").delivered
+    assert report.cost_ratio == pytest.approx(resisted_spam / resisted_ham)
 
 
 def test_table_and_csv_outputs():
